@@ -7,7 +7,11 @@
 #            bench_batch_ops and bench_telemetry_overhead run in --quick
 #            mode and tools/bench_gate.py fails the leg when the median
 #            row ratio against the committed BENCH_*.json baselines
-#            drops more than 25% (tolerance rationale in bench_gate.py);
+#            drops more than 25% (tolerance rationale in bench_gate.py),
+#            and finally the repository benchmark's self-test
+#            (perfbench/run.py --selftest: exactly-once and FIFO output
+#            checks on every workload, traced and untraced, plus the
+#            drop/duplicate/swap corruption catches);
 #  telemetry the same build + full suite with FFQ_TELEMETRY=ON, so both
 #            sides of the compile-time policy stay green;
 #  trace     full build + suite with FFQ_TRACE=ON (and telemetry ON, so
@@ -66,7 +70,7 @@ while [[ $# -gt 0 ]]; do
     --fresh) FRESH=1; shift ;;
     --jobs) JOBS="$2"; shift 2 ;;
     --jobs=*) JOBS="${1#--jobs=}"; shift ;;
-    -h|--help) sed -n '2,48p' "$0" | sed 's/^# \{0,1\}//'; exit 0 ;;
+    -h|--help) sed -n '2,50p' "$0" | sed 's/^# \{0,1\}//'; exit 0 ;;
     [0-9]*) JOBS="$1"; shift ;;  # legacy: ./ci.sh 8
     *) echo "ci.sh: unknown argument '$1' (see --help)" >&2; exit 2 ;;
   esac
@@ -126,6 +130,8 @@ leg_tier1() {
   python3 tools/bench_gate.py --baseline BENCH_telemetry_overhead.json \
     --current build/bench_telemetry_overhead.quick.json \
     --key queue --metric "enabled ns/op" --direction lower
+  echo "--- repository benchmark self-test (perfbench) ---"
+  python3 perfbench/run.py --selftest
 }
 
 leg_telemetry() {

@@ -4,6 +4,11 @@
 //   ffq::core::spmc_queue<T, Layout>  — Algorithm 1 (the paper's FFQ^s)
 //   ffq::core::mpmc_queue<T, Layout>  — Algorithm 2 (the paper's FFQ^m)
 //
+// All three derive from detail::ring (ring.hpp), which holds the one
+// cell protocol: the single-producer publish loop, the rank resolve and
+// the multi-consumer run claim. Each queue adds only what differs: SPSC
+// its consumer-private head, FFQ^m its DWCAS producer.
+//
 // Layouts (Fig. 2 ablation): layout_compact, layout_aligned,
 // layout_randomized, layout_aligned_randomized.
 #pragma once

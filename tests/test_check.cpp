@@ -8,8 +8,8 @@
 // FFQ_CHECK is defined before any include so the queues in this TU carry
 // live yield points in every preset, not just `check`. The mirror-struct
 // static_asserts below prove the instrumentation is layout-neutral: the
-// instrumented queues still match the member-sequence mirrors that
-// test_trace.cpp pins for the uninstrumented build.
+// instrumented queues still match the member-sequence mirrors of
+// queue_mirrors.hpp that test_trace.cpp pins for the uninstrumented build.
 #ifndef FFQ_CHECK
 #define FFQ_CHECK 1
 #endif
@@ -32,6 +32,8 @@
 #include "ffq/model/ffq_alg2.hpp"
 #include "ffq/model/shard_sched.hpp"
 #include "ffq/shard/shard.hpp"
+
+#include "queue_mirrors.hpp"
 
 namespace chk = ffq::check;
 namespace model = ffq::model;
@@ -56,42 +58,10 @@ using q_wait =
 // code, never data.
 // ---------------------------------------------------------------------------
 
-using spmc_cell = ffq::core::detail::spmc_cell<long long, true>;
-using mpmc_cell = ffq::core::detail::mpmc_cell<long long, true>;
-
-struct spsc_mirror {
-  ffq::core::capacity_info cap_;
-  ffq::runtime::aligned_array<spmc_cell> cells_;
-  ffq::runtime::padded<std::atomic<std::int64_t>> tail_;
-  ffq::runtime::padded<std::int64_t> head_;
-  std::atomic<std::int64_t> closed_tail_;
-  std::uint64_t gaps_created_;
-};
-
-struct spmc_mirror {
-  ffq::core::capacity_info cap_;
-  ffq::runtime::aligned_array<spmc_cell> cells_;
-  ffq::runtime::padded<std::atomic<std::int64_t>> tail_;
-  ffq::runtime::padded<std::atomic<std::int64_t>> head_;
-  std::atomic<std::int64_t> closed_tail_;
-  std::uint64_t gaps_created_;
-  std::atomic<std::uint64_t> skips_;
-};
-
-struct mpmc_mirror {
-  ffq::core::capacity_info cap_;
-  ffq::runtime::aligned_array<mpmc_cell> cells_;
-  ffq::runtime::padded<std::atomic<std::int64_t>> tail_;
-  ffq::runtime::padded<std::atomic<std::int64_t>> head_;
-  std::atomic<std::int64_t> closed_tail_;
-  std::atomic<std::uint64_t> gaps_;
-  std::atomic<std::uint64_t> skips_;
-};
-
-struct waitable_mirror {
-  q_spsc q_;
-  ffq::runtime::eventcount ec_;
-};
+using spsc_mirror = mirror::spsc<long long>;
+using spmc_mirror = mirror::spmc<long long>;
+using mpmc_mirror = mirror::mpmc<long long>;
+using waitable_mirror = mirror::waitable<q_spsc>;
 
 static_assert(sizeof(q_spsc) == sizeof(spsc_mirror),
               "FFQ_CHECK yield points must not grow spsc_queue");

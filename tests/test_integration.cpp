@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <map>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -122,6 +123,42 @@ TEST(Integration, AdapterLcrq) { adapter_roundtrip<ffq::harness::lcrq_adapter>()
 TEST(Integration, AdapterWf) { adapter_roundtrip<ffq::harness::wf_adapter>(); }
 TEST(Integration, AdapterVyukov) { adapter_roundtrip<ffq::harness::vyukov_adapter>(); }
 TEST(Integration, AdapterHtm) { adapter_roundtrip<ffq::harness::htm_adapter>(); }
+
+// ---------------------------------------------------------------------------
+// Move-only payloads through the bulk paths of every FFQ queue: the bulk
+// enqueue moves out of the source range (a copy would not compile), both
+// bulk dequeues move into the output range, and the destructor releases
+// what is still queued.
+// ---------------------------------------------------------------------------
+template <typename Q>
+void move_only_bulk_roundtrip() {
+  using ptr = std::unique_ptr<int>;
+  Q q(16);
+  ptr in[6];
+  for (int i = 0; i < 6; ++i) in[i] = std::make_unique<int>(i);
+  q.enqueue_bulk(in, 6);
+  for (const auto& p : in) EXPECT_EQ(p, nullptr);
+  ptr out[4];
+  ASSERT_EQ(q.try_dequeue_bulk(out, 2), 2u);
+  ASSERT_EQ(q.dequeue_bulk(out + 2, 2), 2u);
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_NE(out[i], nullptr);
+    EXPECT_EQ(*out[i], i);
+  }
+}
+
+TEST(Integration, MoveOnlyBulkSpsc) {
+  move_only_bulk_roundtrip<ffq::core::spsc_queue<std::unique_ptr<int>>>();
+}
+TEST(Integration, MoveOnlyBulkSpmc) {
+  move_only_bulk_roundtrip<ffq::core::spmc_queue<std::unique_ptr<int>>>();
+}
+TEST(Integration, MoveOnlyBulkMpmc) {
+  move_only_bulk_roundtrip<ffq::core::mpmc_queue<std::unique_ptr<int>>>();
+}
+TEST(Integration, MoveOnlyBulkWaitable) {
+  move_only_bulk_roundtrip<ffq::core::waitable_spsc_queue<std::unique_ptr<int>>>();
+}
 
 // ---------------------------------------------------------------------------
 // Affinity plans applied to real queue traffic: pin a producer/consumer

@@ -380,6 +380,36 @@ TEST(SpmcQueueBulk, DequeueBulkDropsGapInsideClaimedRun) {
   EXPECT_EQ(q.dequeue_bulk(run, 8), 0u);
 }
 
+// A batch larger than the ring fills it with items its own `tail` does
+// not cover yet. A producer that then waits for a full ring must publish
+// `tail` first, or a consumer polling with try_dequeue_bulk (which never
+// claims past `tail`) can never free a cell and both spin forever.
+TEST(SpmcQueueBulk, BatchLargerThanRingDrainsThroughTryDequeueBulk) {
+  constexpr int kItems = 12;
+  spmc_queue<int> q(4);
+  std::thread producer([&] {
+    std::vector<int> in(kItems);
+    for (int i = 0; i < kItems; ++i) in[i] = i;
+    q.enqueue_bulk(in.begin(), in.size());
+  });
+  std::vector<int> got;
+  int buf[4];
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (got.size() < kItems && std::chrono::steady_clock::now() < deadline) {
+    const std::size_t n = q.try_dequeue_bulk(buf, 4);
+    got.insert(got.end(), buf, buf + n);
+  }
+  EXPECT_EQ(got.size(), static_cast<std::size_t>(kItems))
+      << "producer waited on a cell holding its own unpublished item";
+  // Free a stuck producer so it can be joined: the blocking dequeue claims
+  // ranks past the published tail.
+  for (int v = 0; got.size() < kItems;) {
+    if (q.dequeue(v)) got.push_back(v);
+  }
+  producer.join();
+  for (int i = 0; i < kItems; ++i) EXPECT_EQ(got[i], i);
+}
+
 TEST(SpmcQueueBulk, StressMixedScalarAndBulkConsumers) {
   // Two scalar and two bulk consumers share the ring while the producer
   // alternates enqueue() and enqueue_bulk(). Conservation + per-consumer

@@ -19,7 +19,8 @@
 #include "ffq/core/spmc.hpp"
 #include "ffq/core/spsc.hpp"
 #include "ffq/core/waitable.hpp"
-#include "ffq/runtime/eventcount.hpp"
+
+#include "queue_mirrors.hpp"
 
 namespace tel = ffq::telemetry;
 using ffq::core::layout_aligned;
@@ -27,8 +28,8 @@ using ffq::core::layout_aligned;
 // ---------------------------------------------------------------------------
 // Zero-cost OFF: the disabled counter block is empty and [[no_unique_address]]
 // keeps every queue's size and alignment byte-identical to the layouts that
-// shipped before telemetry existed. The mirror structs below replicate those
-// pre-telemetry member sequences verbatim.
+// shipped before telemetry existed. The mirrors (queue_mirrors.hpp)
+// replicate those pre-telemetry member sequences verbatim.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -50,42 +51,10 @@ using waitable_q =
     ffq::core::waitable_spsc_queue<u64, layout_aligned, Policy,
                                    ffq::trace::disabled>;
 
-using spmc_cell = ffq::core::detail::spmc_cell<u64, true>;
-using mpmc_cell = ffq::core::detail::mpmc_cell<u64, true>;
-
-struct spsc_mirror {
-  ffq::core::capacity_info cap_;
-  ffq::runtime::aligned_array<spmc_cell> cells_;
-  ffq::runtime::padded<std::atomic<std::int64_t>> tail_;
-  ffq::runtime::padded<std::int64_t> head_;
-  std::atomic<std::int64_t> closed_tail_;
-  std::uint64_t gaps_created_;
-};
-
-struct spmc_mirror {
-  ffq::core::capacity_info cap_;
-  ffq::runtime::aligned_array<spmc_cell> cells_;
-  ffq::runtime::padded<std::atomic<std::int64_t>> tail_;
-  ffq::runtime::padded<std::atomic<std::int64_t>> head_;
-  std::atomic<std::int64_t> closed_tail_;
-  std::uint64_t gaps_created_;
-  std::atomic<std::uint64_t> skips_;
-};
-
-struct mpmc_mirror {
-  ffq::core::capacity_info cap_;
-  ffq::runtime::aligned_array<mpmc_cell> cells_;
-  ffq::runtime::padded<std::atomic<std::int64_t>> tail_;
-  ffq::runtime::padded<std::atomic<std::int64_t>> head_;
-  std::atomic<std::int64_t> closed_tail_;
-  std::atomic<std::uint64_t> gaps_;
-  std::atomic<std::uint64_t> skips_;
-};
-
-struct waitable_mirror {
-  spsc_q<tel::disabled> q_;
-  ffq::runtime::eventcount ec_;
-};
+using spsc_mirror = mirror::spsc<u64>;
+using spmc_mirror = mirror::spmc<u64>;
+using mpmc_mirror = mirror::mpmc<u64>;
+using waitable_mirror = mirror::waitable<spsc_q<tel::disabled>>;
 
 static_assert(std::is_empty_v<tel::queue_counters<tel::disabled>>);
 
@@ -337,6 +306,41 @@ TEST(TelemetryQueues, MpmcBulkCountsAndNoRetriesWithoutContention) {
   EXPECT_GE(t.rank_block_faas(), 2u);  // tail block(s) + head block
   EXPECT_EQ(t.dwcas_retries(), 0u);    // single thread: no lost races
   EXPECT_EQ(t.gaps_created(), 0u);
+}
+
+// Every non-empty bulk dequeue is one histogram entry on every queue: a
+// blocking bulk call that wraps the non-blocking one records once, not
+// twice; scalar and empty calls record nothing.
+template <typename Q>
+void expect_one_bulk_entry_per_nonempty_dequeue() {
+  Q q(8);
+  for (u64 v = 0; v < 6; ++v) q.enqueue(v);
+  u64 one = 0;
+  ASSERT_TRUE(q.try_dequeue(one));
+  ASSERT_TRUE(q.dequeue(one));
+  EXPECT_EQ(q.telemetry().bulk_calls(), 0u);
+  u64 out[4] = {};
+  ASSERT_EQ(q.try_dequeue_bulk(out, 2), 2u);
+  ASSERT_EQ(q.dequeue_bulk(out, 4), 2u);
+  EXPECT_EQ(q.try_dequeue_bulk(out, 4), 0u);
+
+  const auto& t = q.telemetry();
+  EXPECT_EQ(t.bulk_calls(), 2u);
+  EXPECT_EQ(t.bulk_items(), 4u);
+  EXPECT_EQ(t.bulk_batches(tel::bulk_bucket(2)), 2u);
+}
+
+TEST(TelemetryQueues, SpscBulkDequeuesRecordOncePerCall) {
+  expect_one_bulk_entry_per_nonempty_dequeue<spsc_q<tel::enabled>>();
+}
+TEST(TelemetryQueues, SpmcBulkDequeuesRecordOncePerCall) {
+  expect_one_bulk_entry_per_nonempty_dequeue<spmc_q<tel::enabled>>();
+}
+TEST(TelemetryQueues, MpmcBulkDequeuesRecordOncePerCall) {
+  expect_one_bulk_entry_per_nonempty_dequeue<mpmc_q<tel::enabled>>();
+}
+TEST(TelemetryQueues, WaitableBulkDequeuesRecordOncePerCall) {
+  expect_one_bulk_entry_per_nonempty_dequeue<waitable_q<tel::enabled>>();
 }
 
 TEST(TelemetryQueues, WaitableCountsParksAndWakes) {

@@ -25,8 +25,9 @@
 #include "ffq/core/spmc.hpp"
 #include "ffq/core/spsc.hpp"
 #include "ffq/core/waitable.hpp"
-#include "ffq/runtime/eventcount.hpp"
 #include "ffq/telemetry/telemetry.hpp"
+
+#include "queue_mirrors.hpp"
 
 namespace trc = ffq::trace;
 namespace tel = ffq::telemetry;
@@ -35,8 +36,8 @@ using ffq::core::layout_aligned;
 // ---------------------------------------------------------------------------
 // Zero-cost OFF: the disabled tracer is empty and [[no_unique_address]]
 // keeps every queue's size and alignment byte-identical to the untraced
-// layout. The mirrors replicate the pre-trace member sequences verbatim
-// (same structs test_telemetry.cpp pins for the telemetry policy).
+// layout. The mirrors (queue_mirrors.hpp) replicate the pre-trace member
+// sequences verbatim (the ones test_telemetry.cpp pins for telemetry).
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -55,42 +56,10 @@ template <typename Trace>
 using waitable_q =
     ffq::core::waitable_spsc_queue<u64, layout_aligned, tel::disabled, Trace>;
 
-using spmc_cell = ffq::core::detail::spmc_cell<u64, true>;
-using mpmc_cell = ffq::core::detail::mpmc_cell<u64, true>;
-
-struct spsc_mirror {
-  ffq::core::capacity_info cap_;
-  ffq::runtime::aligned_array<spmc_cell> cells_;
-  ffq::runtime::padded<std::atomic<std::int64_t>> tail_;
-  ffq::runtime::padded<std::int64_t> head_;
-  std::atomic<std::int64_t> closed_tail_;
-  std::uint64_t gaps_created_;
-};
-
-struct spmc_mirror {
-  ffq::core::capacity_info cap_;
-  ffq::runtime::aligned_array<spmc_cell> cells_;
-  ffq::runtime::padded<std::atomic<std::int64_t>> tail_;
-  ffq::runtime::padded<std::atomic<std::int64_t>> head_;
-  std::atomic<std::int64_t> closed_tail_;
-  std::uint64_t gaps_created_;
-  std::atomic<std::uint64_t> skips_;
-};
-
-struct mpmc_mirror {
-  ffq::core::capacity_info cap_;
-  ffq::runtime::aligned_array<mpmc_cell> cells_;
-  ffq::runtime::padded<std::atomic<std::int64_t>> tail_;
-  ffq::runtime::padded<std::atomic<std::int64_t>> head_;
-  std::atomic<std::int64_t> closed_tail_;
-  std::atomic<std::uint64_t> gaps_;
-  std::atomic<std::uint64_t> skips_;
-};
-
-struct waitable_mirror {
-  spsc_q<trc::disabled> q_;
-  ffq::runtime::eventcount ec_;
-};
+using spsc_mirror = mirror::spsc<u64>;
+using spmc_mirror = mirror::spmc<u64>;
+using mpmc_mirror = mirror::mpmc<u64>;
+using waitable_mirror = mirror::waitable<spsc_q<trc::disabled>>;
 
 static_assert(std::is_empty_v<trc::queue_tracer<trc::disabled>>,
               "the disabled tracer must be an empty class");
