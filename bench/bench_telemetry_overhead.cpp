@@ -1,19 +1,19 @@
-// bench_telemetry_overhead — proves the telemetry policy's cost model
-// (ISSUE 2 / DESIGN.md §8):
+// bench_telemetry_overhead — proves the counters observer's cost model
+// (DESIGN.md §8):
 //
-//   * OFF is free by construction: `queue_counters<disabled>` is an
+//   * OFF is free by construction: `observe::queue_observer<off>` is an
 //     empty class held through [[no_unique_address]] with no-op inline
-//     members, so a disabled-policy queue is byte-identical to the
-//     pre-telemetry layout (static_asserts in tests/test_telemetry.cpp)
-//     and its hot path compiles to the same code. The disabled rows
-//     below ARE the baseline.
+//     members, so an off-observer queue is byte-identical to the
+//     pre-telemetry layout (static_asserts in tests/test_check.cpp) and
+//     its hot path compiles to the same code. The disabled rows below
+//     ARE the baseline.
 //   * ON must stay under 5% on the pairwise workload: every counter
 //     lives on a miss/contention path (gap, skip, retry, stall), never
 //     on the uncontended enqueue/dequeue fast path, and bumps are
 //     relaxed fetch-adds on queue-local lines.
 //
-// Both policies are instantiated in this one binary — the comparison
-// needs no rebuild and is independent of the FFQ_TELEMETRY build mode.
+// Both observers are instantiated in this one binary — the comparison
+// needs no rebuild and is independent of the FFQ_OBSERVE build mode.
 // Think time is disabled (0 ns) so queue-operation cost is the entire
 // measurement: the overhead reported here is the worst case, real
 // workloads dilute it with actual work.
@@ -24,6 +24,7 @@
 #include "ffq/harness/pairwise.hpp"
 #include "ffq/harness/report.hpp"
 #include "ffq/harness/stats.hpp"
+#include "ffq/observe/observer.hpp"
 #include "ffq/telemetry/registry.hpp"
 #include "ffq/telemetry/telemetry.hpp"
 
@@ -56,12 +57,12 @@ constexpr char kSpmcOn[] = "spmc/on";
 constexpr char kMpmcOff[] = "mpmc/off";
 constexpr char kMpmcOn[] = "mpmc/on";
 
-template <typename Telemetry>
-using spsc_q = core::spsc_queue<std::uint64_t, core::layout_aligned, Telemetry>;
-template <typename Telemetry>
-using spmc_q = core::spmc_queue<std::uint64_t, core::layout_aligned, Telemetry>;
-template <typename Telemetry>
-using mpmc_q = core::mpmc_queue<std::uint64_t, core::layout_aligned, Telemetry>;
+template <typename Observer>
+using spsc_q = core::spsc_queue<std::uint64_t, core::layout_aligned, Observer>;
+template <typename Observer>
+using spmc_q = core::spmc_queue<std::uint64_t, core::layout_aligned, Observer>;
+template <typename Observer>
+using mpmc_q = core::mpmc_queue<std::uint64_t, core::layout_aligned, Observer>;
 
 struct family_result {
   std::string family;
@@ -134,17 +135,17 @@ int main(int argc, char** argv) {
 
   std::vector<family_result> results;
   results.push_back(
-      measure<policy_adapter<spsc_q<telemetry::disabled>, kSpscOff>,
-              policy_adapter<spsc_q<telemetry::enabled>, kSpscOn>>("ffq-spsc",
-                                                                   1, cli));
+      measure<policy_adapter<spsc_q<observe::off>, kSpscOff>,
+              policy_adapter<spsc_q<observe::counters>, kSpscOn>>("ffq-spsc", 1,
+                                                                     cli));
   results.push_back(
-      measure<policy_adapter<spmc_q<telemetry::disabled>, kSpmcOff>,
-              policy_adapter<spmc_q<telemetry::enabled>, kSpmcOn>>("ffq-spmc",
-                                                                   1, cli));
+      measure<policy_adapter<spmc_q<observe::off>, kSpmcOff>,
+              policy_adapter<spmc_q<observe::counters>, kSpmcOn>>("ffq-spmc", 1,
+                                                                     cli));
   results.push_back(
-      measure<policy_adapter<mpmc_q<telemetry::disabled>, kMpmcOff>,
-              policy_adapter<mpmc_q<telemetry::enabled>, kMpmcOn>>("ffq-mpmc",
-                                                                   2, cli));
+      measure<policy_adapter<mpmc_q<observe::off>, kMpmcOff>,
+              policy_adapter<mpmc_q<observe::counters>, kMpmcOn>>("ffq-mpmc", 2,
+                                                                     cli));
 
   table t({"queue", "disabled ns/op", "disabled min-max", "enabled ns/op",
            "enabled min-max", "overhead %", "within noise"});

@@ -2,7 +2,7 @@
 # ci.sh — the checks a PR must pass, as six independently runnable legs.
 #
 #  tier1     full RelWithDebInfo build + the whole ctest suite
-#            (FFQ_TELEMETRY=OFF, the default — the zero-cost
+#            (FFQ_OBSERVE=OFF, the default — the zero-cost
 #            configuration), then the bench smoke-regression gate:
 #            bench_batch_ops and bench_telemetry_overhead run in --quick
 #            mode and tools/bench_gate.py fails the leg when the median
@@ -12,16 +12,16 @@
 #            (perfbench/run.py --selftest: exactly-once and FIFO output
 #            checks on every workload, traced and untraced, plus the
 #            drop/duplicate/swap corruption catches);
-#  telemetry the same build + full suite with FFQ_TELEMETRY=ON, so both
-#            sides of the compile-time policy stay green;
-#  trace     full build + suite with FFQ_TRACE=ON (and telemetry ON, so
-#            both hook families coexist), then an end-to-end check: the
+#  telemetry the same build + full suite with FFQ_OBSERVE=COUNTERS, so
+#            the counting default observer stays green too;
+#  trace     full build + suite with FFQ_OBSERVE=TRACE (counters plus
+#            trace records from the same hooks), then an end-to-end check: the
 #            MPMC trace_stress tool exports a Perfetto trace that
 #            trace_check must validate (per-producer FIFO, no loss, no
 #            duplication);
 #  tsan      the core queue + shard + telemetry suites rebuilt with
-#            -fsanitize=thread (telemetry ON, so the instrumented hot
-#            paths are the ones checked) and run to completion, plus
+#            -fsanitize=thread (FFQ_OBSERVE=COUNTERS, so the instrumented
+#            hot paths are the ones checked) and run to completion, plus
 #            trace_stress as a multi-threaded race hunt —
 #            halt_on_error=1 turns any reported race into failure;
 #  asan      the same binaries under -fsanitize=address,undefined
@@ -46,8 +46,9 @@
 # Each leg's build tree is reused across runs. Before reusing one, the
 # leg's defining FFQ_* options are checked against the existing
 # CMakeCache.txt; a stale cache (e.g. build-check configured while
-# FFQ_CHECK was OFF) is detected and reconfigured from scratch instead
-# of silently testing the wrong configuration.
+# FFQ_CHECK was OFF, or a tree from before FFQ_OBSERVE existed, which
+# has no FFQ_OBSERVE entry) is detected and reconfigured from scratch
+# instead of silently testing the wrong configuration.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -70,7 +71,7 @@ while [[ $# -gt 0 ]]; do
     --fresh) FRESH=1; shift ;;
     --jobs) JOBS="$2"; shift 2 ;;
     --jobs=*) JOBS="${1#--jobs=}"; shift ;;
-    -h|--help) sed -n '2,50p' "$0" | sed 's/^# \{0,1\}//'; exit 0 ;;
+    -h|--help) sed -n '2,51p' "$0" | sed 's/^# \{0,1\}//'; exit 0 ;;
     [0-9]*) JOBS="$1"; shift ;;  # legacy: ./ci.sh 8
     *) echo "ci.sh: unknown argument '$1' (see --help)" >&2; exit 2 ;;
   esac
@@ -115,7 +116,7 @@ configure() {
 
 leg_tier1() {
   configure default build \
-    FFQ_TELEMETRY=OFF FFQ_TRACE=OFF FFQ_CHECK=OFF \
+    FFQ_OBSERVE=OFF FFQ_CHECK=OFF \
     FFQ_SANITIZE_THREAD=OFF FFQ_SANITIZE_ADDRESS=OFF
   cmake --build build -j "$JOBS"
   ctest --test-dir build --output-on-failure -j "$JOBS"
@@ -135,13 +136,13 @@ leg_tier1() {
 }
 
 leg_telemetry() {
-  configure telemetry build-telemetry FFQ_TELEMETRY=ON FFQ_TRACE=OFF
+  configure telemetry build-telemetry FFQ_OBSERVE=COUNTERS
   cmake --build build-telemetry -j "$JOBS"
   ctest --test-dir build-telemetry --output-on-failure -j "$JOBS"
 }
 
 leg_trace() {
-  configure trace build-trace FFQ_TRACE=ON FFQ_TELEMETRY=ON
+  configure trace build-trace FFQ_OBSERVE=TRACE
   cmake --build build-trace -j "$JOBS"
   ctest --test-dir build-trace --output-on-failure -j "$JOBS"
   echo "--- trace end-to-end: MPMC stress -> Perfetto export -> trace_check ---"
@@ -157,7 +158,7 @@ SAN_TESTS=(test_spsc test_spmc test_mpmc test_shard test_waitable
            test_eventcount test_telemetry)
 
 leg_tsan() {
-  configure tsan build-tsan FFQ_SANITIZE_THREAD=ON FFQ_TELEMETRY=ON
+  configure tsan build-tsan FFQ_SANITIZE_THREAD=ON FFQ_OBSERVE=COUNTERS
   cmake --build build-tsan -j "$JOBS" \
     --target "${SAN_TESTS[@]}" trace_stress
   local t
@@ -172,7 +173,7 @@ leg_tsan() {
 }
 
 leg_asan() {
-  configure asan build-asan FFQ_SANITIZE_ADDRESS=ON FFQ_TELEMETRY=ON
+  configure asan build-asan FFQ_SANITIZE_ADDRESS=ON FFQ_OBSERVE=COUNTERS
   cmake --build build-asan -j "$JOBS" \
     --target "${SAN_TESTS[@]}" trace_stress
   local t
@@ -187,7 +188,7 @@ leg_asan() {
 }
 
 leg_check() {
-  configure check build-check FFQ_CHECK=ON
+  configure check build-check FFQ_CHECK=ON FFQ_OBSERVE=OFF
   cmake --build build-check -j "$JOBS"
   ctest --test-dir build-check --output-on-failure -j "$JOBS"
   echo "--- exhaustive: bound-2 DFS over the SPSC, SPMC, shard models ---"

@@ -37,10 +37,10 @@ int main(int argc, char** argv) {
 
   // Small ring on purpose: with long-running tasks in flight the
   // producer regularly wraps onto busy cells and exercises the gap
-  // protocol (watch the statistics below). The explicit enabled
-  // telemetry policy keeps the gap statistics live in any build mode.
+  // protocol (watch the statistics below). The explicit counters
+  // observer keeps the gap statistics live in any build.
   ffq::core::spmc_queue<task, ffq::core::layout_aligned,
-                        ffq::telemetry::enabled>
+                        ffq::observe::counters>
       q(64);
 
   std::vector<std::thread> pool;

@@ -17,16 +17,13 @@
 #include <type_traits>
 #include <utility>
 
-#include "ffq/baselines/reclaimers.hpp"
 #include "ffq/runtime/backoff.hpp"
 #include "ffq/runtime/cacheline.hpp"
 #include "ffq/runtime/hazard.hpp"
 
 namespace ffq::baselines {
 
-/// `Reclaimer` selects the safe-memory-reclamation policy (see
-/// reclaimers.hpp); the algorithm itself is identical under both.
-template <typename T, typename Reclaimer = hazard_reclaimer>
+template <typename T>
 class ms_queue {
   static_assert(std::is_nothrow_move_constructible_v<T>);
 
@@ -67,10 +64,10 @@ class ms_queue {
     std::construct_at(n->ptr(), std::move(value));
     n->has_value = true;
 
-    typename Reclaimer::guard g;
+    auto& hz = ffq::runtime::tls_global_hazard();
     ffq::runtime::exp_backoff bo;
     for (;;) {
-      node* tail = g.protect(0, *tail_);
+      node* tail = hz->protect(0, *tail_);
       node* next = tail->next.load(std::memory_order_acquire);
       if (tail != tail_->load(std::memory_order_acquire)) continue;
       if (next != nullptr) {
@@ -85,6 +82,7 @@ class ms_queue {
                                            std::memory_order_relaxed)) {
         tail_->compare_exchange_strong(tail, n, std::memory_order_release,
                                        std::memory_order_relaxed);
+        hz->clear(0);
         return;
       }
       bo.pause();
@@ -93,14 +91,15 @@ class ms_queue {
 
   /// Lock-free; any thread. False when the queue is empty.
   bool try_dequeue(T& out) {
-    typename Reclaimer::guard g;
+    auto& hz = ffq::runtime::tls_global_hazard();
     ffq::runtime::exp_backoff bo;
     for (;;) {
-      node* head = g.protect(0, *head_);
+      node* head = hz->protect(0, *head_);
       node* tail = tail_->load(std::memory_order_acquire);
-      node* next = g.protect(1, head->next);
+      node* next = hz->protect(1, head->next);
       if (head != head_->load(std::memory_order_acquire)) continue;
       if (next == nullptr) {
+        hz->clear_all();
         return false;  // empty (head is the dummy)
       }
       if (head == tail) {
@@ -116,7 +115,8 @@ class ms_queue {
         out = std::move(*next->ptr());
         std::destroy_at(next->ptr());
         next->has_value = false;
-        g.retire(head);  // old dummy
+        hz->clear_all();
+        hz->retire(head);  // old dummy
         return true;
       }
       bo.pause();

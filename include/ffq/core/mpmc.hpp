@@ -38,18 +38,16 @@
 namespace ffq::core {
 
 template <typename T, typename Layout = layout_aligned,
-          typename Telemetry = ffq::telemetry::default_policy,
-          typename Trace = ffq::trace::default_policy>
+          typename Observer = ffq::observe::default_observer>
 class mpmc_queue
     : public detail::ring<detail::mpmc_cell<T, Layout::kCacheAligned>,
-                          std::atomic<std::int64_t>, Layout, Telemetry, Trace> {
+                          std::atomic<std::int64_t>, Layout, Observer> {
   using base = typename mpmc_queue::ring;
 
  public:
   using value_type = T;
   using layout_type = Layout;
-  using telemetry_policy = Telemetry;
-  using trace_policy = Trace;
+  using observer_type = Observer;
   static constexpr const char* kName = "ffq-mpmc";
 
   explicit mpmc_queue(std::size_t capacity) : base(capacity, kName) {}
@@ -79,7 +77,7 @@ class mpmc_queue
   void enqueue_bulk(It first, std::size_t n) noexcept {
     assert(closed_tail_.load(std::memory_order_relaxed) < 0 &&
            "enqueue after close()");
-    tel_.on_bulk(n);
+    obs_.on_bulk(n);
     std::size_t gaps_this_call = 0;
     std::size_t remaining = n;
     std::int64_t next = 0;
@@ -92,7 +90,7 @@ class mpmc_queue
           next = tail_->fetch_add(static_cast<std::int64_t>(remaining),
                                   std::memory_order_relaxed);
           block_end = next + static_cast<std::int64_t>(remaining);
-          tel_.on_rank_block_faa();
+          obs_.on_rank_block_faa();
         }
         const std::int64_t rank = next++;
         if (place_at_rank(rank, item, gaps_this_call)) break;
@@ -139,8 +137,7 @@ class mpmc_queue
   using base::cell_at;
   using base::closed_tail_;
   using base::tail_;
-  using base::tel_;
-  using base::trc_;
+  using base::obs_;
 
   /// Try to install `value` at `rank` (Algorithm 2's per-cell races).
   /// True: value moved into the cell and published. False: the rank died
@@ -148,19 +145,19 @@ class mpmc_queue
   /// call — and the caller must draw a fresh rank for the same value.
   bool place_at_rank(std::int64_t rank, T& value,
                      std::size_t& gaps_this_call) noexcept {
-    const std::uint64_t t0 = trc_.now();
+    const std::uint64_t t0 = obs_.now();
     auto& c = cell_at(rank);
     ffq::runtime::yielding_backoff backoff;
-    // Spin telemetry accumulates in registers and flushes once per
+    // Spin counts accumulate in registers and flush once per
     // return — one RMW per episode, not one per pause. The wait loops
     // below also flush every kFlushEvery pauses so a producer stuck on a
     // full ring stays visible to live snapshots.
     std::uint64_t stalls = 0, pauses = 0, retries = 0;
     bool stall_traced = false;
     const auto flush_waits = [&]() noexcept {
-      tel_.on_full_stalls(stalls);
-      tel_.on_backoff_pauses(pauses);
-      tel_.on_dwcas_retries(retries);
+      obs_.on_full_stalls(stalls);
+      obs_.on_backoff_pauses(pauses);
+      obs_.on_dwcas_retries(retries);
       stalls = pauses = retries = 0;
     };
     for (;;) {
@@ -192,7 +189,7 @@ class mpmc_queue
           // (Found by the model checker; see tests/test_model.cpp.)
           ++stalls;
           if (!stall_traced) {  // one instant per episode, not per pause
-            trc_.on_full_stall(rank);
+            obs_.on_full_stall(rank);
             stall_traced = true;
           }
           if (ffq::telemetry::flush_due(stalls)) flush_waits();
@@ -204,14 +201,13 @@ class mpmc_queue
         // then re-examine the cell.
         typename ffq::runtime::atomic_i64_pair::value_type expected{r, g};
         if (c.rg.compare_exchange(expected, {r, rank})) {
-          tel_.on_gap_created();
-          trc_.on_gap(rank);
+          obs_.on_gap(rank);
           ++gaps_this_call;
           flush_waits();
           return false;  // gap announced for our rank; acquire a new rank
         }
         ++retries;
-        trc_.on_dwcas_retry(rank);
+        obs_.on_dwcas_retry(rank);
         continue;
       }
       if (r == detail::kCellFree) {
@@ -229,11 +225,11 @@ class mpmc_queue
           FFQ_CHECK_YIELD();  // window between the data write and publication
           c.rank().store(rank, std::memory_order_release);  // publish
           flush_waits();
-          trc_.on_enqueue(t0, rank);
+          obs_.on_enqueue(t0, rank);
           return true;
         }
         ++retries;
-        trc_.on_dwcas_retry(rank);
+        obs_.on_dwcas_retry(rank);
         continue;
       }
       // r == kCellReserved: another producer is between its claim and

@@ -7,7 +7,7 @@
 //   * the cell types — spmc_cell (separate rank/gap words) and mpmc_cell
 //     (the DWCAS-able pair) — both read through rank()/gap();
 //   * the ring state: capacity, cells, padded tail and head, the close
-//     snapshot, and the telemetry/trace hook blocks;
+//     snapshot, and the observer;
 //   * lifetime and introspection: destructor, close, capacity,
 //     approx_size, the watchdog trio and the counters;
 //   * three protocol routines: publish() (the single-producer cell loop),
@@ -37,12 +37,11 @@
 
 #include "ffq/check/yield.hpp"
 #include "ffq/core/layout.hpp"
+#include "ffq/observe/observer.hpp"
 #include "ffq/runtime/aligned_buffer.hpp"
 #include "ffq/runtime/backoff.hpp"
 #include "ffq/runtime/cacheline.hpp"
 #include "ffq/runtime/dwcas.hpp"
-#include "ffq/telemetry/counters.hpp"
-#include "ffq/trace/tracer.hpp"
 
 namespace ffq::core::detail {
 
@@ -107,8 +106,7 @@ using mpmc_cell = cell<mpmc_cell_fields<T>, CacheAligned>;
 /// be a power of two and must exceed the maximum number of in-flight
 /// items (the paper's flow-control assumption) for enqueue to stay
 /// wait-free.
-template <typename Cell, typename Head, typename Layout, typename Telemetry,
-          typename Trace>
+template <typename Cell, typename Head, typename Layout, typename Observer>
 class ring {
   using T = typename Cell::value_type;
   static_assert(std::is_nothrow_move_constructible_v<T>,
@@ -152,18 +150,19 @@ class ring {
   }
 
   /// Number of gap announcements the producers have made (0 under the
-  /// disabled telemetry policy).
-  std::uint64_t gaps_created() const noexcept { return tel_.gaps_created(); }
+  /// off observer).
+  std::uint64_t gaps_created() const noexcept { return obs_.gaps_created(); }
 
-  /// Number of times consumers abandoned a skipped rank (0 under the
-  /// disabled telemetry policy).
+  /// Number of times consumers abandoned a skipped rank (0 under the off
+  /// observer).
   std::uint64_t consumer_skips() const noexcept {
-    return tel_.consumer_skips();
+    return obs_.consumer_skips();
   }
 
-  /// The queue's event-counter block (empty under the disabled policy).
-  const ffq::telemetry::queue_counters<Telemetry>& telemetry() const noexcept {
-    return tel_;
+  /// The queue's observer, read through its counters (all zero, and an
+  /// export that visits nothing, under the off observer).
+  const ffq::observe::queue_observer<Observer>& telemetry() const noexcept {
+    return obs_;
   }
 
   /// Watchdog introspection (racy, diagnostic only): the next rank a
@@ -193,7 +192,7 @@ class ring {
 
  protected:
   ring(std::size_t capacity, const char* name)
-      : cap_(capacity), cells_(capacity), trc_{name} {
+      : cap_(capacity), cells_(capacity), obs_{name} {
     assert(capacity_info::valid(capacity) && "capacity must be a power of two >= 2");
   }
 
@@ -201,10 +200,10 @@ class ring {
     return cells_[cap_.template slot<Layout>(rank)];
   }
 
-  /// Bulk-size histogram entry for one bulk dequeue; an empty result is
-  /// not a batch.
+  /// Bulk-size histogram entry for one bulk dequeue (the observer drops
+  /// an empty result).
   std::size_t counted_bulk(std::size_t n) noexcept {
-    if (n > 0) tel_.on_bulk(n);
+    obs_.on_bulk(n);
     return n;
   }
 
@@ -228,7 +227,7 @@ class ring {
   void publish(It first, std::size_t n) noexcept {
     assert(closed_tail_.load(std::memory_order_relaxed) < 0 &&
            "enqueue after close()");
-    std::uint64_t it0 = trc_.now();  // per-item begin timestamp
+    std::uint64_t it0 = obs_.now();  // per-item begin timestamp
     std::int64_t t = tail_->load(std::memory_order_relaxed);
     std::size_t consecutive_skips = 0;
     std::uint64_t stalls = 0;  // flushed once per call, not per pause
@@ -253,11 +252,11 @@ class ring {
             // cannot take it before `tail` passes it, so publish `tail`
             // first; every rank below `t` is already decided.
             if (i > 0) tail_->store(t, std::memory_order_release);
-            trc_.on_full_stall(t);
+            obs_.on_full_stall(t);
             stalled = true;
           }
           if (ffq::telemetry::flush_due(stalls)) {
-            tel_.on_full_stalls(stalls);
+            obs_.on_full_stalls(stalls);
             stalls = 0;
           }
           full_backoff.pause();
@@ -269,8 +268,7 @@ class ring {
         // then carries the latest skipped rank, which is all consumers
         // need ("gap ≥ rank").
         c.gap().store(t, std::memory_order_release);
-        tel_.on_gap_created();
-        trc_.on_gap(t);
+        obs_.on_gap(t);
         ++t;
         ++consecutive_skips;
         continue;
@@ -278,14 +276,14 @@ class ring {
       std::construct_at(c.ptr(), std::move(*first));
       FFQ_CHECK_YIELD();  // window between the data write and publication
       c.rank().store(t, std::memory_order_release);  // linearization point
-      trc_.on_enqueue(it0, t);
+      obs_.on_enqueue(it0, t);
       stalled = false;
       consecutive_skips = 0;
       ++t;
       ++first;
-      if (++i < n) it0 = trc_.now();
+      if (++i < n) it0 = obs_.now();
     }
-    tel_.on_full_stalls(stalls);
+    obs_.on_full_stalls(stalls);
     tail_->store(t, std::memory_order_release);
   }
 
@@ -297,7 +295,7 @@ class ring {
   /// this rank — including an FFQ^m -2 reservation.
   template <typename Sink>
   rank_state resolve_rank(std::int64_t rank, Sink&& sink) noexcept {
-    const std::uint64_t t0 = trc_.now();
+    const std::uint64_t t0 = obs_.now();
     auto& c = cell_at(rank);
     ffq::runtime::yielding_backoff backoff;
     std::uint64_t pauses = 0;  // flushed once per episode, not per pause
@@ -310,8 +308,8 @@ class ring {
         std::destroy_at(c.ptr());
         // Linearization point: the cell is free again.
         c.rank().store(kCellFree, std::memory_order_release);
-        tel_.on_backoff_pauses(pauses);
-        trc_.on_dequeue(t0, rank);
+        obs_.on_backoff_pauses(pauses);
+        obs_.on_dequeue(t0, rank);
         return rank_state::taken;
       }
       // Skipped? gap must be read before the rank re-check: the
@@ -323,9 +321,8 @@ class ring {
       if (c.gap().load(std::memory_order_acquire) >= rank) {
         FFQ_CHECK_YIELD();  // line-29 window
         if (c.rank().load(std::memory_order_acquire) != rank) {
-          tel_.on_consumer_skip();
-          trc_.on_skip(rank);
-          tel_.on_backoff_pauses(pauses);
+          obs_.on_skip(rank);
+          obs_.on_backoff_pauses(pauses);
           return rank_state::skipped;
         }
         continue;  // re-check found our rank after all: take it next round
@@ -333,12 +330,12 @@ class ring {
       // Producer still writing (or queue empty): back off briefly.
       const std::int64_t closed = closed_tail_.load(std::memory_order_acquire);
       if (closed >= 0 && rank >= closed) {
-        tel_.on_backoff_pauses(pauses);
+        obs_.on_backoff_pauses(pauses);
         return rank_state::drained;
       }
       ++pauses;
       if (ffq::telemetry::flush_due(pauses)) {
-        tel_.on_backoff_pauses(pauses);
+        obs_.on_backoff_pauses(pauses);
         pauses = 0;
       }
       backoff.pause();
@@ -379,7 +376,7 @@ class ring {
         FFQ_CHECK_YIELD();  // window: a racing consumer may move head here
       }
       const std::int64_t first = head_->fetch_add(k, std::memory_order_relaxed);
-      if (k > 1) tel_.on_rank_block_faa();
+      if (k > 1) obs_.on_rank_block_faa();
       std::size_t taken = 0;
       for (std::int64_t rank = first; rank < first + k; ++rank) {
         switch (resolve_rank(rank, [&](T&& v) {
@@ -406,13 +403,10 @@ class ring {
   ffq::runtime::padded<std::atomic<std::int64_t>> tail_{0};
   ffq::runtime::padded<Head> head_{0};
   std::atomic<std::int64_t> closed_tail_{-1};
-  // Empty under the disabled policy: occupies no storage, so sizeof is
+  // Empty under the off observer: occupies no storage, so sizeof is
   // identical to the uninstrumented layout (static_asserts in
-  // tests/test_telemetry.cpp).
-  [[no_unique_address]] ffq::telemetry::queue_counters<Telemetry> tel_;
-  // Trace hook block: a 2-byte queue id when tracing is on, empty (and
-  // address-free) when off (static_asserts in tests/test_trace.cpp).
-  [[no_unique_address]] ffq::trace::queue_tracer<Trace> trc_;
+  // tests/test_check.cpp).
+  [[no_unique_address]] ffq::observe::queue_observer<Observer> obs_;
 };
 
 }  // namespace ffq::core::detail

@@ -44,18 +44,16 @@ namespace ffq::core {
 /// exceed the maximum number of in-flight items (the paper's implicit
 /// flow-control assumption) for enqueue to stay wait-free.
 template <typename T, typename Layout = layout_aligned,
-          typename Telemetry = ffq::telemetry::default_policy,
-          typename Trace = ffq::trace::default_policy>
+          typename Observer = ffq::observe::default_observer>
 class spmc_queue
     : public detail::ring<detail::spmc_cell<T, Layout::kCacheAligned>,
-                          std::atomic<std::int64_t>, Layout, Telemetry, Trace> {
+                          std::atomic<std::int64_t>, Layout, Observer> {
   using base = typename spmc_queue::ring;
 
  public:
   using value_type = T;
   using layout_type = Layout;
-  using telemetry_policy = Telemetry;
-  using trace_policy = Trace;
+  using observer_type = Observer;
   static constexpr const char* kName = "ffq-spmc";
 
   explicit spmc_queue(std::size_t capacity) : base(capacity, kName) {}
@@ -68,7 +66,7 @@ class spmc_queue
   /// published on its own cell, `tail` is stored once for the batch.
   template <typename It>
   void enqueue_bulk(It first, std::size_t n) noexcept {
-    this->tel_.on_bulk(n);
+    this->obs_.on_bulk(n);
     this->publish(first, n);
   }
 

@@ -27,22 +27,20 @@
 
 namespace ffq::core {
 
-template <typename T, typename Layout, typename Telemetry, typename Trace>
+template <typename T, typename Layout, typename Observer>
 class waitable_spsc_queue;
 
 template <typename T, typename Layout = layout_aligned,
-          typename Telemetry = ffq::telemetry::default_policy,
-          typename Trace = ffq::trace::default_policy>
+          typename Observer = ffq::observe::default_observer>
 class spsc_queue
     : public detail::ring<detail::spmc_cell<T, Layout::kCacheAligned>,
-                          std::int64_t, Layout, Telemetry, Trace> {
+                          std::int64_t, Layout, Observer> {
   using base = typename spsc_queue::ring;
 
  public:
   using value_type = T;
   using layout_type = Layout;
-  using telemetry_policy = Telemetry;
-  using trace_policy = Trace;
+  using observer_type = Observer;
   static constexpr const char* kName = "ffq-spsc";
 
   explicit spsc_queue(std::size_t capacity) : base(capacity, kName) {}
@@ -55,7 +53,7 @@ class spsc_queue
   /// the full-ring regime.
   template <typename It>
   void enqueue_bulk(It first, std::size_t n) noexcept {
-    tel_.on_bulk(n);
+    obs_.on_bulk(n);
     this->publish(first, n);
   }
 
@@ -86,21 +84,20 @@ class spsc_queue
 
  private:
   // The waitable wrapper funnels its park/wake events into this queue's
-  // counter block so one telemetry() call covers the whole stack.
-  friend class waitable_spsc_queue<T, Layout, Telemetry, Trace>;
+  // observer so one telemetry() call covers the whole stack.
+  friend class waitable_spsc_queue<T, Layout, Observer>;
 
   using base::cell_at;
   using base::closed_tail_;
   using base::head_;
-  using base::tel_;
-  using base::trc_;
+  using base::obs_;
 
   /// Scan forward from the private head, taking up to `max_n` published
   /// items and stepping over gap ranks (Alg. 1 lines 18–30 without the
   /// fetch-and-add). Stops at the first rank not published yet.
   template <typename OutIt>
   std::size_t take(OutIt out, std::size_t max_n) noexcept {
-    std::uint64_t it0 = trc_.now();  // per-item begin timestamp
+    std::uint64_t it0 = obs_.now();  // per-item begin timestamp
     std::int64_t h = (*head_);
     std::size_t taken = 0;
     while (taken < max_n) {
@@ -111,9 +108,9 @@ class spsc_queue
         ++out;
         std::destroy_at(c.ptr());
         c.rank().store(detail::kCellFree, std::memory_order_release);
-        trc_.on_dequeue(it0, h);
+        obs_.on_dequeue(it0, h);
         ++h;
-        if (++taken < max_n) it0 = trc_.now();
+        if (++taken < max_n) it0 = obs_.now();
         continue;
       }
       // The gap load and the rank re-check are distinct atomic accesses;
@@ -122,8 +119,7 @@ class spsc_queue
       if (c.gap().load(std::memory_order_acquire) >= h) {
         FFQ_CHECK_YIELD();  // line-29 window: producer may publish h here
         if (c.rank().load(std::memory_order_acquire) != h) {
-          tel_.on_consumer_skip();
-          trc_.on_skip(h);
+          obs_.on_skip(h);
           ++h;  // our rank was skipped; advance past the gap
         }
         continue;  // re-check found our rank after all: take it next round
@@ -143,17 +139,17 @@ class spsc_queue
     for (;;) {
       const std::size_t n = take(out, max_n);
       if (n > 0) {
-        tel_.on_backoff_pauses(pauses);
+        obs_.on_backoff_pauses(pauses);
         return n;
       }
       const std::int64_t closed = closed_tail_.load(std::memory_order_acquire);
       if (closed >= 0 && (*head_) >= closed) {
-        tel_.on_backoff_pauses(pauses);
+        obs_.on_backoff_pauses(pauses);
         return 0;
       }
       ++pauses;
       if (ffq::telemetry::flush_due(pauses)) {
-        tel_.on_backoff_pauses(pauses);
+        obs_.on_backoff_pauses(pauses);
         pauses = 0;
       }
       backoff.pause();

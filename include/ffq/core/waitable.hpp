@@ -27,13 +27,11 @@
 namespace ffq::core {
 
 template <typename T, typename Layout = layout_aligned,
-          typename Telemetry = ffq::telemetry::default_policy,
-          typename Trace = ffq::trace::default_policy>
+          typename Observer = ffq::observe::default_observer>
 class waitable_spsc_queue {
  public:
   using value_type = T;
-  using telemetry_policy = Telemetry;
-  using trace_policy = Trace;
+  using observer_type = Observer;
   static constexpr const char* kName = "ffq-spsc-waitable";
 
   /// Spins this many light rounds before parking (covers the common
@@ -90,8 +88,7 @@ class waitable_spsc_queue {
         // Drain anything between the closed flag and the last publish.
         return q_.try_dequeue(out);
       }
-      q_.tel_.on_park();
-      q_.trc_.on_park();
+      q_.obs_.on_park();
       ec_.wait(key);
     }
   }
@@ -117,8 +114,7 @@ class waitable_spsc_queue {
         ec_.cancel_wait();
         return q_.try_dequeue_bulk(out, max_n);
       }
-      q_.tel_.on_park();
-      q_.trc_.on_park();
+      q_.obs_.on_park();
       ec_.wait(key);
     }
   }
@@ -146,8 +142,8 @@ class waitable_spsc_queue {
   }
 
   /// One unified counter block for the whole stack: park/wake events are
-  /// folded into the inner queue's telemetry.
-  const ffq::telemetry::queue_counters<Telemetry>& telemetry() const noexcept {
+  /// folded into the inner queue's observer.
+  const ffq::observe::queue_observer<Observer>& telemetry() const noexcept {
     return q_.telemetry();
   }
 
@@ -155,15 +151,12 @@ class waitable_spsc_queue {
   /// Count a wake-up only when a consumer is (racily) parked — mirroring
   /// when notify_one/notify_all actually issue a futex wake.
   void count_wake() noexcept {
-    if constexpr (Telemetry::kEnabled || Trace::kEnabled) {
-      if (ec_.approx_waiters() > 0) {
-        q_.tel_.on_wake();
-        q_.trc_.on_wake();
-      }
+    if constexpr (Observer::kEnabled) {
+      if (ec_.approx_waiters() > 0) q_.obs_.on_wake();
     }
   }
 
-  spsc_queue<T, Layout, Telemetry, Trace> q_;
+  spsc_queue<T, Layout, Observer> q_;
   ffq::runtime::eventcount ec_;
 };
 

@@ -34,7 +34,7 @@ concept has_telemetry = requires(const Q& q) { q.telemetry(); };
 /// Fold a queue's event counters into the process-wide registry under
 /// "queue.<adapter name>". The queue object dies at the end of each run,
 /// so this is called right before destruction; queues without telemetry
-/// (baselines, disabled policy) contribute nothing.
+/// (baselines, off observer) contribute nothing.
 template <typename Q>
 void export_queue_telemetry(const Q& q) {
   if constexpr (has_telemetry<Q>) {

@@ -70,8 +70,8 @@ struct bench_cli {
 /// captured so far, merged; see DESIGN.md §9) when --trace was given.
 /// `metrics` is embedded as counter tracks when non-null. Returns true
 /// when nothing was requested or the write succeeded. In a build whose
-/// queues use trace::disabled the file is still written — it just
-/// carries only the thread-name metadata.
+/// queues do not trace (FFQ_OBSERVE below TRACE) the file is still
+/// written — it just carries only the thread-name metadata.
 bool write_trace_if_requested(const bench_cli& cli,
                               const ffq::telemetry::metrics_snapshot* metrics =
                                   nullptr);

@@ -71,8 +71,8 @@ struct service_config {
   /// When non-empty, write an "ffq.trace.v1" Chrome/Perfetto trace of
   /// the run to this path after the service finishes. Worker threads
   /// are named ("app-N", "os-N") so tracks read meaningfully in the
-  /// viewer. In FFQ_TRACE=OFF builds the queues emit no events, so the
-  /// file carries thread names only.
+  /// viewer. In builds below FFQ_OBSERVE=TRACE the queues emit no
+  /// events, so the file carries thread names only.
   std::string trace_path;
 };
 

@@ -41,14 +41,14 @@
 // point; it trades the global order FFQ^m also does not really give you
 // (under producer concurrency) for wait-free enqueue at producer scale.
 //
-// Instrumentation threads through the same policy stack as the queues:
-// telemetry (fabric_counters: steals / empty polls / drain batches, plus
-// every shard's own queue_counters), trace (shard_steal / empty_sweep
-// instants on top of the shards' records), and FFQ_CHECK_YIELD points in
-// the scheduler so the deterministic checker interleaves scheduling
-// decisions (model machine: model/shard_sched.hpp). With every policy
-// disabled the layout is byte-identical to the uninstrumented fabric
-// (mirror static_asserts in tests/test_shard.cpp).
+// Instrumentation is the queues' observer policy: the scheduler observer
+// (fabric_observer: steals / empty polls / drain batches as counters,
+// shard_steal / empty_sweep as trace instants) sits on top of every
+// shard's own queue_observer, and FFQ_CHECK_YIELD points in the scheduler
+// let the deterministic checker interleave scheduling decisions (model
+// machine: model/shard_sched.hpp). Under the off observer the layout is
+// byte-identical to the uninstrumented fabric (mirror static_asserts in
+// tests/test_shard.cpp).
 #pragma once
 
 #include <algorithm>
@@ -65,11 +65,10 @@
 #include "ffq/check/yield.hpp"
 #include "ffq/core/layout.hpp"
 #include "ffq/core/spmc.hpp"
+#include "ffq/observe/observer.hpp"
 #include "ffq/runtime/backoff.hpp"
 #include "ffq/runtime/cacheline.hpp"
 #include "ffq/shard/placement.hpp"
-#include "ffq/telemetry/shard_counters.hpp"
-#include "ffq/trace/tracer.hpp"
 
 namespace ffq::shard {
 
@@ -124,12 +123,11 @@ struct options {
 };
 
 /// The sharded SPMC fabric. One FFQ^s shard per producer; `Ordered`
-/// selects epoch-stamped merge fan-in. Layout/Telemetry/Trace forward to
+/// selects epoch-stamped merge fan-in. Layout and Observer forward to
 /// every shard (layout policy per shard, as in the scalar queues).
 template <typename T, bool Ordered = false,
           typename Layout = ffq::core::layout_aligned,
-          typename Telemetry = ffq::telemetry::default_policy,
-          typename Trace = ffq::trace::default_policy>
+          typename Observer = ffq::observe::default_observer>
 class fabric {
   static_assert(std::is_nothrow_move_constructible_v<T>,
                 "cell publication cannot be rolled back after a throwing move");
@@ -139,10 +137,9 @@ class fabric {
  public:
   using value_type = T;
   using layout_type = Layout;
-  using telemetry_policy = Telemetry;
-  using trace_policy = Trace;
+  using observer_type = Observer;
   using item_type = std::conditional_t<Ordered, detail::stamped<T>, T>;
-  using shard_type = ffq::core::spmc_queue<item_type, Layout, Telemetry, Trace>;
+  using shard_type = ffq::core::spmc_queue<item_type, Layout, Observer>;
   static constexpr bool kOrdered = Ordered;
   static constexpr const char* kName =
       Ordered ? "ffq-shard-ordered" : "ffq-shard";
@@ -305,10 +302,10 @@ class fabric {
       std::size_t n = fab_->shard(cursor_).try_dequeue_bulk(out, want);
       if (n > 0) {
         if (n < want) advance();  // shard (nearly) dry: move on next visit
-        fab_->tel_.on_drain(n);
+        fab_->obs_.on_drain(n);
         return n;
       }
-      fab_->tel_.on_empty_poll();
+      fab_->obs_.on_empty_poll();
       // Steal pass: jump to the busiest shard instead of walking the ring
       // one empty shard at a time.
       std::size_t best = cursor_;
@@ -327,16 +324,14 @@ class fabric {
         n = fab_->shard(best).try_dequeue_bulk(out, want);
         if (n > 0) {
           cursor_ = best;  // keep draining the stolen shard next visit
-          fab_->tel_.on_steal();
-          fab_->trc_.on_steal(static_cast<std::int64_t>(best));
-          fab_->tel_.on_drain(n);
+          fab_->obs_.on_steal(best);
+          fab_->obs_.on_drain(n);
           return n;
         }
-        fab_->tel_.on_empty_poll();
+        fab_->obs_.on_empty_poll();
       }
       advance();
-      fab_->tel_.on_empty_sweep();
-      fab_->trc_.on_empty_sweep();
+      fab_->obs_.on_empty_sweep();
       return 0;
     }
 
@@ -354,7 +349,7 @@ class fabric {
           if (fab_->shard(s).try_dequeue(tmp)) {
             held_[s].emplace(std::move(tmp));
           } else {
-            fab_->tel_.on_empty_poll();
+            fab_->obs_.on_empty_poll();
           }
         }
         if (held_[s] && held_[s]->epoch < min_epoch) {
@@ -364,13 +359,12 @@ class fabric {
         }
       }
       if (!any) {
-        fab_->tel_.on_empty_sweep();
-        fab_->trc_.on_empty_sweep();
+        fab_->obs_.on_empty_sweep();
         return false;
       }
       out = std::move(held_[min_s]->value);
       held_[min_s].reset();
-      fab_->tel_.on_drain(1);
+      fab_->obs_.on_drain(1);
       return true;
     }
 
@@ -427,10 +421,10 @@ class fabric {
     return p < plan_.groups.size() ? &plan_.groups[p] : nullptr;
   }
 
-  /// The scheduler's counter block (empty under the disabled policy).
-  const ffq::telemetry::fabric_counters<Telemetry>& telemetry()
-      const noexcept {
-    return tel_;
+  /// The scheduler's observer, read through its counters (all zero under
+  /// the off observer).
+  const ffq::observe::fabric_observer<Observer>& telemetry() const noexcept {
+    return obs_;
   }
 
  private:
@@ -449,10 +443,9 @@ class fabric {
   // Ordered mode's shared epoch clock; empty (and address-free) when
   // unordered, so the two modes otherwise share one layout.
   [[no_unique_address]] epoch_type epoch_;
-  // Scheduler counters / trace hooks: empty under the disabled policies
-  // (mirror static_asserts in tests/test_shard.cpp).
-  [[no_unique_address]] ffq::telemetry::fabric_counters<Telemetry> tel_;
-  [[no_unique_address]] ffq::trace::queue_tracer<Trace> trc_{kName};
+  // Scheduler observer: empty under the off observer (mirror
+  // static_asserts in tests/test_shard.cpp).
+  [[no_unique_address]] ffq::observe::fabric_observer<Observer> obs_{kName};
 };
 
 }  // namespace ffq::shard

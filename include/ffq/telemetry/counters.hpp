@@ -1,4 +1,4 @@
-// counters.hpp — queue event counters behind the telemetry policy.
+// counters.hpp — the queue event counter block of the observer policy.
 //
 // One uniform counter set for the whole FFQ family (DESIGN.md §8), so
 // SPMC and MPMC — and every future variant — export the same names:
@@ -17,21 +17,17 @@
 //                    (waitable wrapper only; 0 elsewhere)
 //   bulk_calls/items + a log2 batch-size distribution for bulk ops
 //
-// The enabled specialization uses relaxed fetch-add — every counted
-// event is on a miss/contention path, never on the uncontended
-// enqueue/dequeue fast path, which is how ON-mode overhead stays <5%
-// (bench_telemetry_overhead). The disabled specialization is an empty
-// class whose members are no-op inlines; queues hold it through
-// [[no_unique_address]] so it occupies no storage.
+// This is the storage and the read side. The writes are the hooks of
+// observe::queue_observer (observe/observer.hpp), which bumps these with
+// relaxed fetch-adds: every counted event is on a miss/contention path,
+// never on the uncontended enqueue/dequeue fast path, which is how the
+// counting overhead stays <5% (bench_telemetry_overhead).
 #pragma once
 
 #include <atomic>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <type_traits>
-
-#include "ffq/telemetry/policy.hpp"
 
 namespace ffq::telemetry {
 
@@ -59,48 +55,13 @@ constexpr const char* bulk_bucket_name(std::size_t b) noexcept {
 inline constexpr std::uint64_t kFlushEvery = 1024;
 
 /// True when a local pause accumulator just crossed a flush boundary.
-/// Usage: `++pauses; if (flush_due(pauses)) { tel_.on_x(pauses); pauses = 0; }`
+/// Usage: `++pauses; if (flush_due(pauses)) { obs_.on_x(pauses); pauses = 0; }`
 constexpr bool flush_due(std::uint64_t accumulated) noexcept {
   return (accumulated & (kFlushEvery - 1)) == 0;
 }
 
-template <typename Policy = default_policy>
-class queue_counters;
-
-template <>
-class queue_counters<enabled> {
+class queue_counters {
  public:
-  static constexpr bool kEnabled = true;
-
-  void on_gap_created() noexcept { bump(gaps_created_); }
-  void on_consumer_skip() noexcept { bump(consumer_skips_); }
-  void on_dwcas_retry() noexcept { bump(dwcas_retries_); }
-  void on_rank_block_faa() noexcept { bump(rank_block_faas_); }
-  void on_full_stall() noexcept { bump(full_stalls_); }
-  void on_backoff_pause() noexcept { bump(backoff_pauses_); }
-  // Batched forms for spin loops: accumulate in a register inside the
-  // wait loop and flush once per episode — one RMW per *wait*, not one
-  // per pause, which keeps heavily-contended runs within the overhead
-  // budget. `n == 0` (the common no-wait case) is free. Wait loops also
-  // flush every kFlushEvery pauses (see flush_due) so a thread stuck
-  // waiting stays visible to live snapshots.
-  void on_full_stalls(std::uint64_t n) noexcept {
-    if (n != 0) full_stalls_.fetch_add(n, std::memory_order_relaxed);
-  }
-  void on_dwcas_retries(std::uint64_t n) noexcept {
-    if (n != 0) dwcas_retries_.fetch_add(n, std::memory_order_relaxed);
-  }
-  void on_backoff_pauses(std::uint64_t n) noexcept {
-    if (n != 0) backoff_pauses_.fetch_add(n, std::memory_order_relaxed);
-  }
-  void on_park() noexcept { bump(parks_); }
-  void on_wake() noexcept { bump(wakes_); }
-  void on_bulk(std::size_t n) noexcept {
-    bump(bulk_calls_);
-    bulk_items_.fetch_add(n, std::memory_order_relaxed);
-    bump(bulk_hist_[bulk_bucket(n)]);
-  }
-
   std::uint64_t gaps_created() const noexcept { return get(gaps_created_); }
   std::uint64_t consumer_skips() const noexcept { return get(consumer_skips_); }
   std::uint64_t dwcas_retries() const noexcept { return get(dwcas_retries_); }
@@ -134,9 +95,15 @@ class queue_counters<enabled> {
     }
   }
 
- private:
+ protected:
   static void bump(std::atomic<std::uint64_t>& c) noexcept {
     c.fetch_add(1, std::memory_order_relaxed);
+  }
+  /// Batched form for spin loops: the loop accumulates in a register and
+  /// flushes once per episode — one RMW per *wait*, not one per pause.
+  /// `n == 0` (the common no-wait case) is free.
+  static void add(std::atomic<std::uint64_t>& c, std::uint64_t n) noexcept {
+    if (n != 0) c.fetch_add(n, std::memory_order_relaxed);
   }
   static std::uint64_t get(const std::atomic<std::uint64_t>& c) noexcept {
     return c.load(std::memory_order_relaxed);
@@ -154,42 +121,5 @@ class queue_counters<enabled> {
   std::atomic<std::uint64_t> bulk_items_{0};
   std::atomic<std::uint64_t> bulk_hist_[kBulkBucketCount] = {};
 };
-
-template <>
-class queue_counters<disabled> {
- public:
-  static constexpr bool kEnabled = false;
-
-  void on_gap_created() noexcept {}
-  void on_consumer_skip() noexcept {}
-  void on_dwcas_retry() noexcept {}
-  void on_rank_block_faa() noexcept {}
-  void on_full_stall() noexcept {}
-  void on_backoff_pause() noexcept {}
-  void on_full_stalls(std::uint64_t) noexcept {}
-  void on_dwcas_retries(std::uint64_t) noexcept {}
-  void on_backoff_pauses(std::uint64_t) noexcept {}
-  void on_park() noexcept {}
-  void on_wake() noexcept {}
-  void on_bulk(std::size_t) noexcept {}
-
-  std::uint64_t gaps_created() const noexcept { return 0; }
-  std::uint64_t consumer_skips() const noexcept { return 0; }
-  std::uint64_t dwcas_retries() const noexcept { return 0; }
-  std::uint64_t rank_block_faas() const noexcept { return 0; }
-  std::uint64_t full_stalls() const noexcept { return 0; }
-  std::uint64_t backoff_pauses() const noexcept { return 0; }
-  std::uint64_t parks() const noexcept { return 0; }
-  std::uint64_t wakes() const noexcept { return 0; }
-  std::uint64_t bulk_calls() const noexcept { return 0; }
-  std::uint64_t bulk_items() const noexcept { return 0; }
-  std::uint64_t bulk_batches(std::size_t) const noexcept { return 0; }
-
-  template <typename Fn>
-  void for_each(Fn&&) const noexcept {}
-};
-
-static_assert(std::is_empty_v<queue_counters<disabled>>,
-              "the disabled policy must add no storage to queues");
 
 }  // namespace ffq::telemetry

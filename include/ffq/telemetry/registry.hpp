@@ -59,7 +59,7 @@ class registry {
 
   /// Fold every counter of a queue's telemetry block into
   /// "<domain>/<counter>" totals. Call right before the queue is
-  /// destroyed; a disabled-policy block contributes nothing.
+  /// destroyed; an off-observer block contributes nothing.
   template <typename Counters>
   void accumulate_queue(std::string_view domain, const Counters& c) {
     c.for_each([&](const char* name, std::uint64_t value) {

@@ -1,5 +1,5 @@
-// shard_counters.hpp — the shard fabric's scheduler counters behind the
-// telemetry policy (DESIGN.md §11).
+// shard_counters.hpp — the shard fabric's scheduler counters
+// (DESIGN.md §11).
 //
 // The fabric's per-shard queues already carry the full queue_counters set
 // (gaps, skips, stalls, ...); this block counts what the *scheduler* on
@@ -15,39 +15,20 @@
 //   drain_batch_* log2 histogram of drain batch sizes (same buckets as
 //                 the queues' bulk histogram)
 //
-// Same contract as queue_counters: the enabled specialization uses
-// relaxed fetch-add on miss/decision paths only, the disabled one is an
-// empty class held through [[no_unique_address]] so the OFF fabric layout
-// is byte-identical (mirror static_asserts in tests/test_shard.cpp).
+// Same contract as queue_counters: storage and read side here, relaxed
+// fetch-adds on miss/decision paths from observe::fabric_observer.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <type_traits>
 
 #include "ffq/telemetry/counters.hpp"
-#include "ffq/telemetry/policy.hpp"
 
 namespace ffq::telemetry {
 
-template <typename Policy = default_policy>
-class fabric_counters;
-
-template <>
-class fabric_counters<enabled> {
+class fabric_counters {
  public:
-  static constexpr bool kEnabled = true;
-
-  void on_steal() noexcept { bump(steals_); }
-  void on_empty_poll() noexcept { bump(empty_polls_); }
-  void on_empty_sweep() noexcept { bump(empty_sweeps_); }
-  void on_drain(std::size_t n) noexcept {
-    bump(drains_);
-    drained_items_.fetch_add(n, std::memory_order_relaxed);
-    bump(drain_hist_[bulk_bucket(n)]);
-  }
-
   std::uint64_t steals() const noexcept { return get(steals_); }
   std::uint64_t empty_polls() const noexcept { return get(empty_polls_); }
   std::uint64_t empty_sweeps() const noexcept { return get(empty_sweeps_); }
@@ -79,7 +60,7 @@ class fabric_counters<enabled> {
     return kNames[b];
   }
 
- private:
+ protected:
   static void bump(std::atomic<std::uint64_t>& c) noexcept {
     c.fetch_add(1, std::memory_order_relaxed);
   }
@@ -94,29 +75,5 @@ class fabric_counters<enabled> {
   std::atomic<std::uint64_t> drained_items_{0};
   std::atomic<std::uint64_t> drain_hist_[kBulkBucketCount] = {};
 };
-
-template <>
-class fabric_counters<disabled> {
- public:
-  static constexpr bool kEnabled = false;
-
-  void on_steal() noexcept {}
-  void on_empty_poll() noexcept {}
-  void on_empty_sweep() noexcept {}
-  void on_drain(std::size_t) noexcept {}
-
-  std::uint64_t steals() const noexcept { return 0; }
-  std::uint64_t empty_polls() const noexcept { return 0; }
-  std::uint64_t empty_sweeps() const noexcept { return 0; }
-  std::uint64_t drains() const noexcept { return 0; }
-  std::uint64_t drained_items() const noexcept { return 0; }
-  std::uint64_t drain_batches(std::size_t) const noexcept { return 0; }
-
-  template <typename Fn>
-  void for_each(Fn&&) const noexcept {}
-};
-
-static_assert(std::is_empty_v<fabric_counters<disabled>>,
-              "the disabled policy must add no storage to the fabric");
 
 }  // namespace ffq::telemetry

@@ -3,7 +3,7 @@
 // Header-only on purpose: the queue templates (ffq_core is an INTERFACE
 // library) emit records through this registry, so it cannot live in a
 // linked .cpp the way telemetry::registry does — every target that
-// instantiates an enabled-trace queue must get it for free.
+// instantiates a trace-observer queue must get it for free.
 //
 // Ownership model mirrors telemetry::latency_recorder: rings live in a
 // deque (stable addresses) owned by the singleton and survive their

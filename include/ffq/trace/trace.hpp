@@ -1,25 +1,23 @@
 // trace.hpp — umbrella header for the ffq::trace subsystem.
 //
 // What lives where:
-//   policy.hpp    enabled / disabled tags, compile-time default
 //   event.hpp     event vocabulary + packed 4-word record format
 //   ring.hpp      per-thread wait-free SPSC trace ring (seqlock reads)
 //   registry.hpp  process-wide ring/queue-id ownership (header-only)
-//   tracer.hpp    queue_tracer<Policy> — the hook block queues embed
+//   tracer.hpp    queue_tracer — the record emitter of the trace observer
 //   export.hpp    snapshot merge + Chrome Trace Event JSON ("ffq.trace.v1")
 //   validate.hpp  offline replay validator (FIFO / no-loss / no-dup)
 //   watchdog.hpp  liveness sampler + post-mortem queue-state dumps
 //   json_reader.hpp  strict RFC 8259 reader for trace_check / tests
 //
-// Queues only depend on policy/event/ring/registry/tracer (all
-// header-only, zero-cost when disabled); the exporter and watchdog are
-// in the ffq_trace static library.
+// Queues only depend on event/ring/registry/tracer (all header-only,
+// compiled in only under the trace observer, observe/observer.hpp); the
+// exporter and watchdog are in the ffq_trace static library.
 #pragma once
 
 #include "ffq/trace/event.hpp"        // IWYU pragma: export
 #include "ffq/trace/export.hpp"       // IWYU pragma: export
 #include "ffq/trace/json_reader.hpp"  // IWYU pragma: export
-#include "ffq/trace/policy.hpp"       // IWYU pragma: export
 #include "ffq/trace/registry.hpp"  // IWYU pragma: export
 #include "ffq/trace/ring.hpp"      // IWYU pragma: export
 #include "ffq/trace/tracer.hpp"    // IWYU pragma: export

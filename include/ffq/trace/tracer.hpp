@@ -1,43 +1,28 @@
-// tracer.hpp — the per-queue trace hook block behind the trace policy.
+// tracer.hpp — the trace record emitter of the observer policy.
 //
-// `queue_tracer<enabled>` is what a queue holds when its Trace template
-// parameter is `trace::enabled`: a 2-byte queue id (assigned by the
-// trace registry at queue construction) plus inline emit helpers that
-// push packed records into the calling thread's ring. One record per
-// completed operation — the begin timestamp is captured into a register
-// with `now()` and folded into the record at the end — so the hot path
-// pays one rdtsc, one thread_local lookup, and five atomic stores per
-// traced operation, and nothing on the miss paths it does not take.
+// `queue_tracer` is what a queue or fabric observer holds under the
+// `observe::trace` policy: a 2-byte queue id (assigned by the trace
+// registry at construction) plus inline emit helpers that push packed
+// records into the calling thread's ring. One record per completed
+// operation — the begin timestamp is captured into a register with
+// `now()` and folded into the record at the end — so the hot path pays
+// one rdtsc, one thread_local lookup, and five atomic stores per traced
+// operation, and nothing on the miss paths it does not take.
 //
-// `queue_tracer<disabled>` is an empty class whose members are no-op
-// inlines; queues hold it through [[no_unique_address]] so the OFF
-// configuration is byte-identical to the untraced layout (mirror-struct
-// static_asserts in tests/test_trace.cpp) and every call site folds to
-// nothing.
-//
-// Hook sites are the same policy-gated spots telemetry instruments
-// (DESIGN.md §8): publication/consumption for the duration events, and
-// gap / skip / DWCAS-retry / full-stall / park / wake for the instants.
+// The hooks that decide which record each event becomes are those of
+// observe::queue_observer / fabric_observer (observe/observer.hpp).
 #pragma once
 
 #include <cstdint>
-#include <type_traits>
 
 #include "ffq/runtime/timing.hpp"
 #include "ffq/trace/event.hpp"
-#include "ffq/trace/policy.hpp"
 #include "ffq/trace/registry.hpp"
 
 namespace ffq::trace {
 
-template <typename Policy = default_policy>
-class queue_tracer;
-
-template <>
-class queue_tracer<enabled> {
+class queue_tracer {
  public:
-  static constexpr bool kEnabled = true;
-
   explicit queue_tracer(const char* kind)
       : id_(registry::instance().register_queue(kind)) {}
 
@@ -46,76 +31,20 @@ class queue_tracer<enabled> {
 
   /// Operation completed: one duration record, plus the liveness epoch
   /// bump on the consume side (the watchdog's per-thread progress).
-  void on_enqueue(std::uint64_t t0, std::int64_t rank) const noexcept {
-    emit(event_type::enqueue, rank, t0, saturate_dur(now() - t0));
-  }
-  void on_dequeue(std::uint64_t t0, std::int64_t rank) const noexcept {
+  void span(event_type t, std::uint64_t t0, std::int64_t rank) const noexcept {
+    const std::uint32_t dur = saturate_dur(now() - t0);
     auto& ring = registry::instance().ring_for_this_thread();
-    ring.push(event_type::dequeue, id_, rank, t0, saturate_dur(now() - t0));
-    ring.mark_progress();
+    ring.push(t, id_, rank, t0, dur);
+    if (t == event_type::dequeue) ring.mark_progress();
   }
 
-  void on_gap(std::int64_t rank) const noexcept {
-    emit_instant(event_type::gap_created, rank);
+  /// A zero-duration record stamped now.
+  void instant(event_type t, std::int64_t arg) const noexcept {
+    registry::instance().ring_for_this_thread().push(t, id_, arg, now(), 0);
   }
-  void on_skip(std::int64_t rank) const noexcept {
-    emit_instant(event_type::consumer_skip, rank);
-  }
-  void on_dwcas_retry(std::int64_t rank) const noexcept {
-    emit_instant(event_type::dwcas_retry, rank);
-  }
-  /// Emitted once per full-ring wait episode (not per pause): the
-  /// episode's existence is the diagnostic signal, its length is visible
-  /// as the gap until the following enqueue record.
-  void on_full_stall(std::int64_t rank) const noexcept {
-    emit_instant(event_type::full_stall, rank);
-  }
-  void on_park() const noexcept { emit_instant(event_type::park, 0); }
-  void on_wake() const noexcept { emit_instant(event_type::wake, 0); }
-  /// Shard-fabric scheduler instants (DESIGN.md §11): a consumer jumping
-  /// its cursor to the busiest shard, and a poll finding every shard dry.
-  void on_steal(std::int64_t shard) const noexcept {
-    emit_instant(event_type::shard_steal, shard);
-  }
-  void on_empty_sweep() const noexcept {
-    emit_instant(event_type::empty_sweep, 0);
-  }
-
-  std::uint16_t id() const noexcept { return id_; }
 
  private:
-  void emit(event_type t, std::int64_t arg, std::uint64_t tsc,
-            std::uint32_t dur) const noexcept {
-    registry::instance().ring_for_this_thread().push(t, id_, arg, tsc, dur);
-  }
-  void emit_instant(event_type t, std::int64_t arg) const noexcept {
-    emit(t, arg, now(), 0);
-  }
-
   std::uint16_t id_;
 };
-
-template <>
-class queue_tracer<disabled> {
- public:
-  static constexpr bool kEnabled = false;
-
-  explicit queue_tracer(const char*) noexcept {}
-
-  static constexpr std::uint64_t now() noexcept { return 0; }
-  void on_enqueue(std::uint64_t, std::int64_t) const noexcept {}
-  void on_dequeue(std::uint64_t, std::int64_t) const noexcept {}
-  void on_gap(std::int64_t) const noexcept {}
-  void on_skip(std::int64_t) const noexcept {}
-  void on_dwcas_retry(std::int64_t) const noexcept {}
-  void on_full_stall(std::int64_t) const noexcept {}
-  void on_park() const noexcept {}
-  void on_wake() const noexcept {}
-  void on_steal(std::int64_t) const noexcept {}
-  void on_empty_sweep() const noexcept {}
-};
-
-static_assert(std::is_empty_v<queue_tracer<disabled>>,
-              "the disabled policy must add no storage to queues");
 
 }  // namespace ffq::trace

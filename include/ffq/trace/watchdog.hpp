@@ -18,7 +18,7 @@
 //   * the stalled consumer threads by name (threads that have consumed
 //     before but whose progress epoch froze across the stall window);
 //   * the last few trace events of every thread (empty unless the
-//     queues were instantiated with trace::enabled).
+//     queues were instantiated with the observe::trace observer).
 //
 // The dump goes to the configured sink (default: stderr); `dump_now()`
 // produces one on demand. Sampling reads only atomics the queues already

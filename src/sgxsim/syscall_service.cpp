@@ -305,8 +305,8 @@ service_result run_sgx_ffq(const service_config& cfg) {
 
   if (cfg.collect_telemetry) {
     // Fold queue event counters into registry totals before the queues
-    // die with this scope (no-op in FFQ_TELEMETRY=OFF builds, where the
-    // default policy's counter block is empty).
+    // die with this scope (no-op in FFQ_OBSERVE=OFF builds, where the
+    // default observer's counter block is empty).
     auto& reg = tel::registry::instance();
     for (const auto& s : submissions) {
       reg.accumulate_queue("queue.sgx-ffq.submission", s->telemetry());

@@ -219,6 +219,18 @@ TYPED_TEST(MpmcBaseline, ConcurrentConservationAndPerProducerFifo) {
   }
 }
 
+// MS-queue-specific: the destructor frees the nodes (and destroys the
+// items) still linked when the queue dies. A leak or corruption in that
+// path tends to crash under repetition, so run a few cycles.
+TEST(MsQueue, DestructorReleasesRemainingNodes) {
+  for (int round = 0; round < 20; ++round) {
+    ms_queue<std::uint64_t> q;
+    for (std::uint64_t i = 1; i <= 100; ++i) q.enqueue(i);
+    std::uint64_t out;
+    for (int d = 0; d < 50; ++d) ASSERT_TRUE(q.try_dequeue(out));
+  }
+}
+
 // LCRQ-specific: ring closing and linking (tiny rings force it).
 TEST(Lcrq, ClosesAndLinksRings) {
   lcrq_queue q(/*ring_size=*/2);

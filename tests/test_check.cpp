@@ -7,9 +7,9 @@
 //
 // FFQ_CHECK is defined before any include so the queues in this TU carry
 // live yield points in every preset, not just `check`. The mirror-struct
-// static_asserts below prove the instrumentation is layout-neutral: the
-// instrumented queues still match the member-sequence mirrors of
-// queue_mirrors.hpp that test_trace.cpp pins for the uninstrumented build.
+// static_asserts below prove that neither the off observer nor the yield
+// points add data: the queues still match the member sequences they
+// shipped with before any instrumentation existed.
 #ifndef FFQ_CHECK
 #define FFQ_CHECK 1
 #endif
@@ -31,50 +31,91 @@
 #include "ffq/model/ffq_alg1.hpp"
 #include "ffq/model/ffq_alg2.hpp"
 #include "ffq/model/shard_sched.hpp"
+#include "ffq/runtime/aligned_buffer.hpp"
+#include "ffq/runtime/cacheline.hpp"
+#include "ffq/runtime/eventcount.hpp"
 #include "ffq/shard/shard.hpp"
-
-#include "queue_mirrors.hpp"
 
 namespace chk = ffq::check;
 namespace model = ffq::model;
 
 namespace {
 
-// Policies pinned to disabled so the mirror asserts below hold in every
-// preset (the telemetry/trace presets flip the *defaults*, which would
-// legitimately grow the queues — that is their own suites' concern).
+// Observer pinned to off so the mirror asserts below hold in every preset
+// (the counters/trace presets flip the *default*, which legitimately
+// grows the queues; test_telemetry.cpp pins those sizes).
 using ffq::core::layout_aligned;
-using tel_off = ffq::telemetry::disabled;
-using trc_off = ffq::trace::disabled;
-using q_spsc = ffq::core::spsc_queue<long long, layout_aligned, tel_off, trc_off>;
-using q_spmc = ffq::core::spmc_queue<long long, layout_aligned, tel_off, trc_off>;
-using q_mpmc = ffq::core::mpmc_queue<long long, layout_aligned, tel_off, trc_off>;
-using q_wait =
-    ffq::core::waitable_spsc_queue<long long, layout_aligned, tel_off, trc_off>;
+using obs_off = ffq::observe::off;
+using q_spsc = ffq::core::spsc_queue<long long, layout_aligned, obs_off>;
+using q_spmc = ffq::core::spmc_queue<long long, layout_aligned, obs_off>;
+using q_mpmc = ffq::core::mpmc_queue<long long, layout_aligned, obs_off>;
+using q_wait = ffq::core::waitable_spsc_queue<long long, layout_aligned, obs_off>;
 
 // ---------------------------------------------------------------------------
-// Layout neutrality: FFQ_CHECK=1 in this TU, yet the queues still match
-// the uninstrumented member-sequence mirrors — FFQ_CHECK_YIELD() adds
-// code, never data.
+// Zero cost: FFQ_CHECK=1 in this TU and the off observer in every queue,
+// yet each queue still matches its uninstrumented member sequence — the
+// observer hooks and FFQ_CHECK_YIELD() add code, never data. Each mirror
+// replicates, verbatim, the members the queue shipped with before
+// telemetry, tracing and check yield points existed.
 // ---------------------------------------------------------------------------
 
-using spsc_mirror = mirror::spsc<long long>;
-using spmc_mirror = mirror::spmc<long long>;
-using mpmc_mirror = mirror::mpmc<long long>;
-using waitable_mirror = mirror::waitable<q_spsc>;
+namespace mirror {
 
-static_assert(sizeof(q_spsc) == sizeof(spsc_mirror),
-              "FFQ_CHECK yield points must not grow spsc_queue");
-static_assert(sizeof(q_spmc) == sizeof(spmc_mirror),
-              "FFQ_CHECK yield points must not grow spmc_queue");
-static_assert(sizeof(q_mpmc) == sizeof(mpmc_mirror),
-              "FFQ_CHECK yield points must not grow mpmc_queue");
-static_assert(sizeof(q_wait) == sizeof(waitable_mirror),
-              "FFQ_CHECK yield points must not grow waitable_spsc_queue");
-static_assert(alignof(q_spsc) == alignof(spsc_mirror));
-static_assert(alignof(q_spmc) == alignof(spmc_mirror));
-static_assert(alignof(q_mpmc) == alignof(mpmc_mirror));
-static_assert(alignof(q_wait) == alignof(waitable_mirror));
+using spmc_cell = ffq::core::detail::spmc_cell<long long, true>;
+using mpmc_cell = ffq::core::detail::mpmc_cell<long long, true>;
+
+struct spsc {
+  ffq::core::capacity_info cap_;
+  ffq::runtime::aligned_array<spmc_cell> cells_;
+  ffq::runtime::padded<std::atomic<std::int64_t>> tail_;
+  ffq::runtime::padded<std::int64_t> head_;
+  std::atomic<std::int64_t> closed_tail_;
+  std::uint64_t gaps_created_;
+};
+
+struct spmc {
+  ffq::core::capacity_info cap_;
+  ffq::runtime::aligned_array<spmc_cell> cells_;
+  ffq::runtime::padded<std::atomic<std::int64_t>> tail_;
+  ffq::runtime::padded<std::atomic<std::int64_t>> head_;
+  std::atomic<std::int64_t> closed_tail_;
+  std::uint64_t gaps_created_;
+  std::atomic<std::uint64_t> skips_;
+};
+
+struct mpmc {
+  ffq::core::capacity_info cap_;
+  ffq::runtime::aligned_array<mpmc_cell> cells_;
+  ffq::runtime::padded<std::atomic<std::int64_t>> tail_;
+  ffq::runtime::padded<std::atomic<std::int64_t>> head_;
+  std::atomic<std::int64_t> closed_tail_;
+  std::atomic<std::uint64_t> gaps_;
+  std::atomic<std::uint64_t> skips_;
+};
+
+struct waitable {
+  q_spsc q_;
+  ffq::runtime::eventcount ec_;
+};
+
+}  // namespace mirror
+
+static_assert(sizeof(q_spsc) == sizeof(mirror::spsc),
+              "the off observer and FFQ_CHECK yield points must not grow "
+              "spsc_queue");
+static_assert(sizeof(q_spmc) == sizeof(mirror::spmc),
+              "the off observer and FFQ_CHECK yield points must not grow "
+              "spmc_queue");
+static_assert(sizeof(q_mpmc) == sizeof(mirror::mpmc),
+              "the off observer and FFQ_CHECK yield points must not grow "
+              "mpmc_queue");
+static_assert(sizeof(q_wait) == sizeof(mirror::waitable),
+              "the off observer and FFQ_CHECK yield points must not grow "
+              "waitable_spsc_queue");
+static_assert(alignof(q_spsc) == alignof(mirror::spsc));
+static_assert(alignof(q_spmc) == alignof(mirror::spmc));
+static_assert(alignof(q_mpmc) == alignof(mirror::mpmc));
+static_assert(alignof(q_wait) == alignof(mirror::waitable));
 
 // Model shapes shared with tools/check_explore.cpp (kept tiny so DFS
 // bound 2 finishes in milliseconds).
@@ -399,10 +440,9 @@ TEST(CheckQueues, BulkPathsFuzzCleanToo) {
 }
 
 TEST(CheckQueues, FuzzShardFabricBothModesPass) {
-  using q_shard = ffq::shard::fabric<long long, false, layout_aligned,
-                                     tel_off, trc_off>;
-  using q_shard_ord = ffq::shard::fabric<long long, true, layout_aligned,
-                                         tel_off, trc_off>;
+  using q_shard = ffq::shard::fabric<long long, false, layout_aligned, obs_off>;
+  using q_shard_ord =
+      ffq::shard::fabric<long long, true, layout_aligned, obs_off>;
   auto cfg = small_cfg(2, 2);
   cfg.dequeue_batch = 2;  // exercise the scheduler's bulk drain
   cfg.check_linearizability = false;  // sharded: not one FIFO by design

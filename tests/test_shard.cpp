@@ -1,6 +1,7 @@
 // Tests for ffq::shard — the sharded SPMC fabric (DESIGN.md §11): the
-// zero-cost claim (disabled telemetry/trace leave the fabric layout
-// byte-identical, asserted against mirror structs), conservation and
+// zero-cost claim (the off observer leaves the fabric layout
+// byte-identical, asserted against mirror structs; the counters and trace
+// layouts are pinned too), conservation and
 // per-producer FIFO under real threads in both modes, the ordered mode's
 // closed-drain total order, the scheduler's telemetry counters (steals,
 // drains, empty polls/sweeps), and placement-plan reuse of the runtime
@@ -18,26 +19,23 @@
 #include <thread>
 #include <vector>
 
-#include "ffq/telemetry/counters.hpp"
-#include "ffq/trace/policy.hpp"
+#include "ffq/observe/observer.hpp"
 
 namespace sh = ffq::shard;
 namespace rt = ffq::runtime;
-namespace tel = ffq::telemetry;
-namespace trc = ffq::trace;
+namespace obs = ffq::observe;
 
 namespace {
 
-using fab_plain = sh::fabric<long long, false, ffq::core::layout_aligned,
-                             tel::disabled, trc::disabled>;
-using fab_plain_ord = sh::fabric<long long, true, ffq::core::layout_aligned,
-                                 tel::disabled, trc::disabled>;
-using fab_tel = sh::fabric<long long, false, ffq::core::layout_aligned,
-                           tel::enabled, trc::disabled>;
+template <bool Ordered, typename Observer>
+using fab = sh::fabric<long long, Ordered, ffq::core::layout_aligned, Observer>;
+using fab_plain = fab<false, obs::off>;
+using fab_plain_ord = fab<true, obs::off>;
+using fab_tel = fab<false, obs::counters>;
 
-// --- zero-cost layout: mirrors of the fully-disabled fabrics --------------
-// The mirror repeats the fabric's members minus the policy blocks; equal
-// size and alignment proves [[no_unique_address]] erased them.
+// --- zero-cost layout: mirrors of the off-observer fabrics ----------------
+// The mirror repeats the fabric's members minus the observer; equal size
+// and alignment proves [[no_unique_address]] erased it.
 
 struct fabric_mirror {
   std::size_t shard_capacity;
@@ -58,14 +56,27 @@ struct fabric_ordered_mirror {
   rt::padded<std::atomic<std::uint64_t>> epoch;
 };
 
-static_assert(std::is_empty_v<tel::fabric_counters<tel::disabled>>);
-
 static_assert(sizeof(fab_plain) == sizeof(fabric_mirror),
-              "disabled policies must not grow the fabric");
+              "the off observer must not grow the fabric");
 static_assert(sizeof(fab_plain_ord) == sizeof(fabric_ordered_mirror),
-              "disabled policies must not grow the ordered fabric");
+              "the off observer must not grow the ordered fabric");
 static_assert(alignof(fab_plain) == alignof(fabric_mirror));
 static_assert(alignof(fab_plain_ord) == alignof(fabric_ordered_mirror));
+
+// The counting observers' layouts: the scheduler counter block, plus the
+// 2-byte trace id under `trace`.
+template <typename F>
+constexpr bool layout_is(std::size_t size, std::size_t align) {
+  return sizeof(F) == size && alignof(F) == align;
+}
+static_assert(layout_is<fab<false, obs::counters>>(208, 8),
+              "the counters observer must keep the fabric at 208/8");
+static_assert(layout_is<fab<false, obs::trace>>(216, 8),
+              "the trace observer must keep the fabric at 216/8");
+static_assert(layout_is<fab<true, obs::counters>>(320, 64),
+              "the counters observer must keep the ordered fabric at 320/64");
+static_assert(layout_is<fab<true, obs::trace>>(320, 64),
+              "the trace observer must keep the ordered fabric at 320/64");
 
 /// Value encoding: producer p's i-th item is p * kStride + i, so streams
 /// decompose into per-producer subsequences without a side channel.

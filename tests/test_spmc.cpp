@@ -109,9 +109,9 @@ struct gated_value {
 }  // namespace
 
 TEST(SpmcQueue, DeterministicGapCreationAndSkip) {
-  // Explicit enabled policy: the gap/skip assertions must hold in every
-  // build mode, including default FFQ_TELEMETRY=OFF.
-  spmc_queue<gated_value, layout_aligned, ffq::telemetry::enabled> q(4);
+  // Explicit counters observer: the gap/skip assertions must hold in every
+  // build, including the default FFQ_OBSERVE=OFF.
+  spmc_queue<gated_value, layout_aligned, ffq::observe::counters> q(4);
   gate gt;
 
   q.enqueue(gated_value(0, &gt));      // rank 0 -> cell 0
@@ -341,9 +341,8 @@ TEST(SpmcQueueBulk, DequeueBulkDropsGapInsideClaimedRun) {
   // but the drain happens through one dequeue_bulk whose claimed run
   // [2, 6) covers the gap at rank 4. The gap must be dropped in place —
   // no fresh fetch-and-add — so the call returns the 3 real items.
-  // Enabled telemetry policy: the gap/skip assertions must hold in every
-  // build mode.
-  spmc_queue<gated_value, layout_aligned, ffq::telemetry::enabled> q(4);
+  // Counters observer: the gap/skip assertions must hold in every build.
+  spmc_queue<gated_value, layout_aligned, ffq::observe::counters> q(4);
   gate gt;
 
   q.enqueue(gated_value(0, &gt));      // rank 0 -> cell 0

@@ -1,9 +1,7 @@
-// Tests for ffq::telemetry — the zero-cost claim (sizeof parity of the
-// disabled policy vs the uninstrumented pre-telemetry layouts), bucket
-// math, deterministic queue event counts, and the registry/snapshot
-// export pipeline. Everything here instantiates the telemetry policy
-// explicitly, so the suite is meaningful in both FFQ_TELEMETRY build
-// modes.
+// Tests for ffq::telemetry — the layouts of the counting observers,
+// bucket math, deterministic queue event counts, and the registry/snapshot
+// export pipeline. Everything here names its observer explicitly, so the
+// suite is meaningful in every FFQ_OBSERVE build.
 #include "ffq/telemetry/telemetry.hpp"
 
 #include <gtest/gtest.h>
@@ -13,77 +11,75 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "ffq/core/mpmc.hpp"
 #include "ffq/core/spmc.hpp"
 #include "ffq/core/spsc.hpp"
 #include "ffq/core/waitable.hpp"
-
-#include "queue_mirrors.hpp"
+#include "ffq/observe/observer.hpp"
 
 namespace tel = ffq::telemetry;
+namespace obs = ffq::observe;
 using ffq::core::layout_aligned;
-
-// ---------------------------------------------------------------------------
-// Zero-cost OFF: the disabled counter block is empty and [[no_unique_address]]
-// keeps every queue's size and alignment byte-identical to the layouts that
-// shipped before telemetry existed. The mirrors (queue_mirrors.hpp)
-// replicate those pre-telemetry member sequences verbatim.
-// ---------------------------------------------------------------------------
 
 namespace {
 
 using u64 = std::uint64_t;
-// Trace policy pinned to disabled: these mirrors isolate the *telemetry*
-// layout claim, and must hold in FFQ_TRACE=ON builds too.
-template <typename Policy>
-using spsc_q =
-    ffq::core::spsc_queue<u64, layout_aligned, Policy, ffq::trace::disabled>;
-template <typename Policy>
-using spmc_q =
-    ffq::core::spmc_queue<u64, layout_aligned, Policy, ffq::trace::disabled>;
-template <typename Policy>
-using mpmc_q =
-    ffq::core::mpmc_queue<u64, layout_aligned, Policy, ffq::trace::disabled>;
-template <typename Policy>
-using waitable_q =
-    ffq::core::waitable_spsc_queue<u64, layout_aligned, Policy,
-                                   ffq::trace::disabled>;
+template <typename Observer>
+using spsc_q = ffq::core::spsc_queue<u64, layout_aligned, Observer>;
+template <typename Observer>
+using spmc_q = ffq::core::spmc_queue<u64, layout_aligned, Observer>;
+template <typename Observer>
+using mpmc_q = ffq::core::mpmc_queue<u64, layout_aligned, Observer>;
+template <typename Observer>
+using waitable_q = ffq::core::waitable_spsc_queue<u64, layout_aligned, Observer>;
 
-using spsc_mirror = mirror::spsc<u64>;
-using spmc_mirror = mirror::spmc<u64>;
-using mpmc_mirror = mirror::mpmc<u64>;
-using waitable_mirror = mirror::waitable<spsc_q<tel::disabled>>;
+// ---------------------------------------------------------------------------
+// Layouts of the counting observers (sizeof/alignof with 64-byte lines):
+// the counter block adds two lines to the ring, and the trace id fits in
+// the padding the block leaves on its last line, so both levels share a
+// layout. The off layouts are pinned in test_check.cpp.
+// ---------------------------------------------------------------------------
 
-static_assert(std::is_empty_v<tel::queue_counters<tel::disabled>>);
+template <typename Q>
+constexpr bool layout_is(std::size_t size, std::size_t align) {
+  return sizeof(Q) == size && alignof(Q) == align;
+}
 
-static_assert(sizeof(spsc_q<tel::disabled>) == sizeof(spsc_mirror),
-              "disabled telemetry must not grow spsc_queue");
-static_assert(sizeof(spmc_q<tel::disabled>) == sizeof(spmc_mirror),
-              "disabled telemetry must not grow spmc_queue");
-static_assert(sizeof(mpmc_q<tel::disabled>) == sizeof(mpmc_mirror),
-              "disabled telemetry must not grow mpmc_queue");
-static_assert(sizeof(waitable_q<tel::disabled>) == sizeof(waitable_mirror),
-              "disabled telemetry must not grow waitable_spsc_queue");
-
-static_assert(alignof(spsc_q<tel::disabled>) == alignof(spsc_mirror));
-static_assert(alignof(spmc_q<tel::disabled>) == alignof(spmc_mirror));
-static_assert(alignof(mpmc_q<tel::disabled>) == alignof(mpmc_mirror));
-static_assert(alignof(waitable_q<tel::disabled>) == alignof(waitable_mirror));
+static_assert(layout_is<spsc_q<obs::counters>>(384, 64),
+              "the counters observer must keep spsc_queue at 384/64");
+static_assert(layout_is<spmc_q<obs::counters>>(384, 64),
+              "the counters observer must keep spmc_queue at 384/64");
+static_assert(layout_is<mpmc_q<obs::counters>>(384, 64),
+              "the counters observer must keep mpmc_queue at 384/64");
+static_assert(layout_is<waitable_q<obs::counters>>(512, 64),
+              "the counters observer must keep waitable_spsc_queue at 512/64");
+static_assert(layout_is<spsc_q<obs::trace>>(384, 64),
+              "the trace observer must keep spsc_queue at 384/64");
+static_assert(layout_is<spmc_q<obs::trace>>(384, 64),
+              "the trace observer must keep spmc_queue at 384/64");
+static_assert(layout_is<mpmc_q<obs::trace>>(384, 64),
+              "the trace observer must keep mpmc_queue at 384/64");
+static_assert(layout_is<waitable_q<obs::trace>>(512, 64),
+              "the trace observer must keep waitable_spsc_queue at 512/64");
 
 }  // namespace
 
 TEST(TelemetryZeroCost, PolicyTagsAreCoherent) {
-  EXPECT_TRUE(tel::enabled::kEnabled);
-  EXPECT_FALSE(tel::disabled::kEnabled);
-  EXPECT_TRUE(tel::queue_counters<tel::enabled>::kEnabled);
-  EXPECT_FALSE(tel::queue_counters<tel::disabled>::kEnabled);
+  EXPECT_FALSE(obs::off::kEnabled);
+  EXPECT_FALSE(obs::off::kTrace);
+  EXPECT_TRUE(obs::counters::kEnabled);
+  EXPECT_FALSE(obs::counters::kTrace);
+#if defined(FFQ_TELEMETRY) && FFQ_TELEMETRY && !(defined(FFQ_TRACE) && FFQ_TRACE)
+  EXPECT_TRUE((std::is_same_v<obs::default_observer, obs::counters>));
+#endif
 }
 
 TEST(TelemetryZeroCost, DisabledBlockReportsZeroAndVisitsNothing) {
-  tel::queue_counters<tel::disabled> c;
-  c.on_gap_created();
+  obs::queue_observer<obs::off> c{"unit"};
+  c.on_gap(0);
   c.on_bulk(32);
   c.on_park();
   EXPECT_EQ(c.gaps_created(), 0u);
@@ -120,11 +116,11 @@ TEST(TelemetryBuckets, BulkBucketNamesCoverEveryBucket) {
 }
 
 TEST(TelemetryCounters, EnabledBlockCountsAndVisits) {
-  tel::queue_counters<tel::enabled> c;
-  c.on_gap_created();
-  c.on_gap_created();
-  c.on_consumer_skip();
-  c.on_dwcas_retry();
+  obs::queue_observer<obs::counters> c{"unit"};
+  c.on_gap(0);
+  c.on_gap(1);
+  c.on_skip(0);
+  c.on_dwcas_retries(1);
   c.on_bulk(1);
   c.on_bulk(6);
   EXPECT_EQ(c.gaps_created(), 2u);
@@ -248,7 +244,7 @@ TEST(TelemetryHistogram, EmptyHistogramSummarizesToZeros) {
 }
 
 // ---------------------------------------------------------------------------
-// Deterministic queue event counts (explicit enabled policy)
+// Deterministic queue event counts (explicit counters observer)
 // ---------------------------------------------------------------------------
 
 TEST(TelemetryQueues, SpscGapFullStallAndSkipCounts) {
@@ -256,7 +252,7 @@ TEST(TelemetryQueues, SpscGapFullStallAndSkipCounts) {
   // cells, announces a gap at every slot (4 gaps), and then hits the
   // full-ring stall until the consumer frees a cell. The consumer later
   // walks over those same 4 gap ranks.
-  spsc_q<tel::enabled> q(4);
+  spsc_q<obs::counters> q(4);
   for (u64 v = 0; v < 4; ++v) q.enqueue(v);
 
   std::thread producer([&] { q.enqueue(4); });
@@ -278,7 +274,7 @@ TEST(TelemetryQueues, SpscGapFullStallAndSkipCounts) {
 }
 
 TEST(TelemetryQueues, SpmcBulkCountsBatchesAndBlockFaa) {
-  spmc_q<tel::enabled> q(8);
+  spmc_q<obs::counters> q(8);
   const u64 in[4] = {1, 2, 3, 4};
   q.enqueue_bulk(in, 4);
   u64 out[4] = {};
@@ -294,7 +290,7 @@ TEST(TelemetryQueues, SpmcBulkCountsBatchesAndBlockFaa) {
 }
 
 TEST(TelemetryQueues, MpmcBulkCountsAndNoRetriesWithoutContention) {
-  mpmc_q<tel::enabled> q(8);
+  mpmc_q<obs::counters> q(8);
   const u64 in[4] = {1, 2, 3, 4};
   q.enqueue_bulk(in, 4);
   u64 out[4] = {};
@@ -331,20 +327,48 @@ void expect_one_bulk_entry_per_nonempty_dequeue() {
 }
 
 TEST(TelemetryQueues, SpscBulkDequeuesRecordOncePerCall) {
-  expect_one_bulk_entry_per_nonempty_dequeue<spsc_q<tel::enabled>>();
+  expect_one_bulk_entry_per_nonempty_dequeue<spsc_q<obs::counters>>();
 }
 TEST(TelemetryQueues, SpmcBulkDequeuesRecordOncePerCall) {
-  expect_one_bulk_entry_per_nonempty_dequeue<spmc_q<tel::enabled>>();
+  expect_one_bulk_entry_per_nonempty_dequeue<spmc_q<obs::counters>>();
 }
 TEST(TelemetryQueues, MpmcBulkDequeuesRecordOncePerCall) {
-  expect_one_bulk_entry_per_nonempty_dequeue<mpmc_q<tel::enabled>>();
+  expect_one_bulk_entry_per_nonempty_dequeue<mpmc_q<obs::counters>>();
 }
 TEST(TelemetryQueues, WaitableBulkDequeuesRecordOncePerCall) {
-  expect_one_bulk_entry_per_nonempty_dequeue<waitable_q<tel::enabled>>();
+  expect_one_bulk_entry_per_nonempty_dequeue<waitable_q<obs::counters>>();
+}
+
+// An empty bulk enqueue is not a batch, exactly as an empty bulk dequeue
+// is not: the observer's bulk hook drops n == 0 for every queue.
+template <typename Q>
+void expect_empty_bulk_enqueue_records_nothing() {
+  Q q(8);
+  const u64 in[1] = {1};
+  q.enqueue_bulk(in, 0);
+  const auto& t = q.telemetry();
+  EXPECT_EQ(t.bulk_calls(), 0u);
+  EXPECT_EQ(t.bulk_items(), 0u);
+  for (std::size_t b = 0; b < tel::kBulkBucketCount; ++b) {
+    EXPECT_EQ(t.bulk_batches(b), 0u) << tel::bulk_bucket_name(b);
+  }
+}
+
+TEST(TelemetryQueues, SpscEmptyBulkEnqueueIsNotABatch) {
+  expect_empty_bulk_enqueue_records_nothing<spsc_q<obs::counters>>();
+}
+TEST(TelemetryQueues, SpmcEmptyBulkEnqueueIsNotABatch) {
+  expect_empty_bulk_enqueue_records_nothing<spmc_q<obs::counters>>();
+}
+TEST(TelemetryQueues, MpmcEmptyBulkEnqueueIsNotABatch) {
+  expect_empty_bulk_enqueue_records_nothing<mpmc_q<obs::counters>>();
+}
+TEST(TelemetryQueues, WaitableEmptyBulkEnqueueIsNotABatch) {
+  expect_empty_bulk_enqueue_records_nothing<waitable_q<obs::counters>>();
 }
 
 TEST(TelemetryQueues, WaitableCountsParksAndWakes) {
-  waitable_q<tel::enabled> q(8);
+  waitable_q<obs::counters> q(8);
   std::atomic<u64> got{0};
   std::thread consumer([&] {
     u64 out = 0;
@@ -363,7 +387,7 @@ TEST(TelemetryQueues, WaitableCountsParksAndWakes) {
 }
 
 TEST(TelemetryQueues, DisabledPolicyQueueStaysSilent) {
-  spsc_q<tel::disabled> q(8);
+  spsc_q<obs::off> q(8);
   q.enqueue(7);
   u64 out = 0;
   ASSERT_TRUE(q.try_dequeue(out));
@@ -392,8 +416,8 @@ TEST(TelemetryRegistry, AccumulateFoldsIntoDomainSlashName) {
 TEST(TelemetryRegistry, AccumulateQueueSkipsZeroCounters) {
   auto& reg = tel::registry::instance();
   reg.reset();
-  tel::queue_counters<tel::enabled> c;
-  c.on_gap_created();
+  obs::queue_observer<obs::counters> c{"unit"};
+  c.on_gap(0);
   c.on_bulk(4);
   reg.accumulate_queue("queue.unit", c);
   const auto snap = reg.snapshot();
@@ -410,7 +434,7 @@ TEST(TelemetryRegistry, AccumulateQueueSkipsZeroCounters) {
 TEST(TelemetryRegistry, DisabledBlockAccumulatesNothing) {
   auto& reg = tel::registry::instance();
   reg.reset();
-  tel::queue_counters<tel::disabled> c;
+  obs::queue_observer<obs::off> c{"unit"};
   reg.accumulate_queue("queue.unit", c);
   EXPECT_TRUE(reg.snapshot().empty());
 }
@@ -544,7 +568,7 @@ TEST(TelemetryPipeline, CountersOutliveTheQueue) {
   auto& reg = tel::registry::instance();
   reg.reset();
   {
-    spsc_q<tel::enabled> q(4);
+    spsc_q<obs::counters> q(4);
     for (u64 v = 0; v < 4; ++v) q.enqueue(v);
     std::thread producer([&] { q.enqueue(4); });
     while (q.telemetry().full_stalls() == 0) std::this_thread::yield();

@@ -1,11 +1,11 @@
-// Tests for ffq::trace — the zero-cost claim (sizeof parity of the
-// disabled policy vs the untraced layouts), the per-thread ring
-// (wrap-around, seqlock snapshots), the registry, timestamp merging,
-// tracer hooks on real queues, the offline validator, the Chrome trace
-// export (golden file + RFC 8259 round-trip through the strict JSON
-// reader), and the progress watchdog (synthetic verdicts plus a live
-// stuck-consumer demo). Everything instantiates the trace policy
-// explicitly, so the suite is meaningful in both FFQ_TRACE build modes.
+// Tests for ffq::trace — the per-thread ring (wrap-around, seqlock
+// snapshots), the registry, timestamp merging, the trace observer on real
+// queues (including one hook feeding both the counters and the records),
+// the offline validator, the Chrome trace export (golden file + RFC 8259
+// round-trip through the strict JSON reader), and the progress watchdog
+// (synthetic verdicts plus a live stuck-consumer demo). Everything
+// instantiates the trace observer explicitly, so the suite is meaningful
+// in every FFQ_OBSERVE build.
 #include "ffq/trace/trace.hpp"
 
 #include <gtest/gtest.h>
@@ -19,64 +19,29 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "ffq/core/mpmc.hpp"
 #include "ffq/core/spmc.hpp"
 #include "ffq/core/spsc.hpp"
 #include "ffq/core/waitable.hpp"
+#include "ffq/observe/observer.hpp"
+#include "ffq/shard/shard.hpp"
 #include "ffq/telemetry/telemetry.hpp"
-
-#include "queue_mirrors.hpp"
 
 namespace trc = ffq::trace;
 namespace tel = ffq::telemetry;
 using ffq::core::layout_aligned;
 
-// ---------------------------------------------------------------------------
-// Zero-cost OFF: the disabled tracer is empty and [[no_unique_address]]
-// keeps every queue's size and alignment byte-identical to the untraced
-// layout. The mirrors (queue_mirrors.hpp) replicate the pre-trace member
-// sequences verbatim (the ones test_telemetry.cpp pins for telemetry).
-// ---------------------------------------------------------------------------
-
 namespace {
 
 using u64 = std::uint64_t;
-template <typename Trace>
-using spsc_q =
-    ffq::core::spsc_queue<u64, layout_aligned, tel::disabled, Trace>;
-template <typename Trace>
-using spmc_q =
-    ffq::core::spmc_queue<u64, layout_aligned, tel::disabled, Trace>;
-template <typename Trace>
-using mpmc_q =
-    ffq::core::mpmc_queue<u64, layout_aligned, tel::disabled, Trace>;
-template <typename Trace>
-using waitable_q =
-    ffq::core::waitable_spsc_queue<u64, layout_aligned, tel::disabled, Trace>;
-
-using spsc_mirror = mirror::spsc<u64>;
-using spmc_mirror = mirror::spmc<u64>;
-using mpmc_mirror = mirror::mpmc<u64>;
-using waitable_mirror = mirror::waitable<spsc_q<trc::disabled>>;
-
-static_assert(std::is_empty_v<trc::queue_tracer<trc::disabled>>,
-              "the disabled tracer must be an empty class");
-
-static_assert(sizeof(spsc_q<trc::disabled>) == sizeof(spsc_mirror),
-              "disabled trace must not grow spsc_queue");
-static_assert(sizeof(spmc_q<trc::disabled>) == sizeof(spmc_mirror),
-              "disabled trace must not grow spmc_queue");
-static_assert(sizeof(mpmc_q<trc::disabled>) == sizeof(mpmc_mirror),
-              "disabled trace must not grow mpmc_queue");
-static_assert(sizeof(waitable_q<trc::disabled>) == sizeof(waitable_mirror),
-              "disabled trace must not grow waitable_spsc_queue");
-
-static_assert(alignof(spsc_q<trc::disabled>) == alignof(spsc_mirror));
-static_assert(alignof(spmc_q<trc::disabled>) == alignof(spmc_mirror));
-static_assert(alignof(mpmc_q<trc::disabled>) == alignof(mpmc_mirror));
-static_assert(alignof(waitable_q<trc::disabled>) == alignof(waitable_mirror));
+using traced = ffq::observe::trace;
+using spsc_q = ffq::core::spsc_queue<u64, layout_aligned, traced>;
+using spmc_q = ffq::core::spmc_queue<u64, layout_aligned, traced>;
+using mpmc_q = ffq::core::mpmc_queue<u64, layout_aligned, traced>;
+using waitable_q = ffq::core::waitable_spsc_queue<u64, layout_aligned, traced>;
 
 trc::event_record make_rec(std::uint64_t seq, std::uint64_t tsc,
                            trc::event_type type, std::int64_t arg,
@@ -101,12 +66,17 @@ std::string slurp(const std::string& path) {
 }  // namespace
 
 TEST(TraceZeroCost, PolicyTagsAreCoherent) {
-  EXPECT_TRUE(trc::enabled::kEnabled);
-  EXPECT_FALSE(trc::disabled::kEnabled);
+  EXPECT_TRUE(traced::kEnabled);
+  EXPECT_TRUE(traced::kTrace);
+  EXPECT_FALSE(ffq::observe::off::kTrace);
 #if defined(FFQ_TRACE) && FFQ_TRACE
-  EXPECT_TRUE(trc::default_policy::kEnabled);
+  EXPECT_TRUE((std::is_same_v<ffq::observe::default_observer, traced>));
+#elif defined(FFQ_TELEMETRY) && FFQ_TELEMETRY
+  EXPECT_TRUE(
+      (std::is_same_v<ffq::observe::default_observer, ffq::observe::counters>));
 #else
-  EXPECT_FALSE(trc::default_policy::kEnabled);
+  EXPECT_TRUE(
+      (std::is_same_v<ffq::observe::default_observer, ffq::observe::off>));
 #endif
 }
 
@@ -446,7 +416,7 @@ TEST(TraceValidate, TimelineOrderWithinAThreadIsNotAViolation) {
 TEST(TraceQueues, SpscEmitsOneRecordPerOperation) {
   auto& reg = trc::registry::instance();
   reg.reset();
-  spsc_q<trc::enabled> q(64);
+  spsc_q q(64);
   for (u64 i = 1; i <= 10; ++i) q.enqueue(i);
   u64 v = 0;
   for (int i = 0; i < 10; ++i) ASSERT_TRUE(q.try_dequeue(v));
@@ -467,7 +437,7 @@ TEST(TraceQueues, SpscEmitsOneRecordPerOperation) {
 TEST(TraceQueues, BulkOperationsEmitPerItemRecords) {
   auto& reg = trc::registry::instance();
   reg.reset();
-  spmc_q<trc::enabled> q(64);
+  spmc_q q(64);
   const u64 in[5] = {1, 2, 3, 4, 5};
   q.enqueue_bulk(in, 5);
   u64 out[5] = {};
@@ -486,7 +456,7 @@ TEST(TraceQueues, BulkOperationsEmitPerItemRecords) {
 TEST(TraceQueues, DequeueBumpsProgressEpoch) {
   auto& reg = trc::registry::instance();
   reg.reset();
-  mpmc_q<trc::enabled> q(64);
+  mpmc_q q(64);
   q.enqueue(11);
   q.enqueue(22);
   u64 v = 0;
@@ -500,7 +470,7 @@ TEST(TraceQueues, DequeueBumpsProgressEpoch) {
 TEST(TraceQueues, WaitableEmitsParkAndWake) {
   auto& reg = trc::registry::instance();
   reg.reset();
-  waitable_q<trc::enabled> q(64);
+  waitable_q q(64);
   std::thread consumer([&] {
     trc::set_thread_name("consumer");
     u64 v = 0;
@@ -525,6 +495,89 @@ TEST(TraceQueues, WaitableEmitsParkAndWake) {
   EXPECT_GE(wakes, 1u);
 }
 
+// ---------------------------------------------------------------------------
+// One hook, both sinks: under the trace observer every counted event is
+// also a trace record, so each counter equals its record count.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+std::size_t count_records(trc::event_type type) {
+  std::size_t n = 0;
+  for (const auto& s : trc::registry::instance().snapshot_all()) {
+    for (const auto& r : s.records) n += r.type == type ? 1 : 0;
+  }
+  return n;
+}
+
+// The forced-gap wrap: a capacity-4 ring holds 4 items, so the 5th
+// enqueue announces a gap at every cell and stalls until the consumer
+// frees one; the consumer later steps over those 4 gap ranks.
+template <typename Q>
+void expect_gaps_and_skips_feed_both_sinks() {
+  trc::registry::instance().reset();
+  Q q(4);
+  for (u64 v = 0; v < 4; ++v) q.enqueue(v);
+  std::thread producer([&] { q.enqueue(4); });
+  while (q.telemetry().full_stalls() == 0) std::this_thread::yield();
+  u64 out = 0;
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(q.dequeue(out));
+  producer.join();
+
+  EXPECT_EQ(q.gaps_created(), 4u);
+  EXPECT_EQ(q.consumer_skips(), 4u);
+  EXPECT_EQ(count_records(trc::event_type::gap_created), q.gaps_created());
+  EXPECT_EQ(count_records(trc::event_type::consumer_skip),
+            q.consumer_skips());
+}
+
+}  // namespace
+
+TEST(TraceObserver, SpscGapsAndSkipsFeedBothSinks) {
+  expect_gaps_and_skips_feed_both_sinks<spsc_q>();
+}
+
+TEST(TraceObserver, SpmcGapsAndSkipsFeedBothSinks) {
+  expect_gaps_and_skips_feed_both_sinks<spmc_q>();
+}
+
+TEST(TraceObserver, WaitableParksAndWakesFeedBothSinks) {
+  trc::registry::instance().reset();
+  waitable_q q(8);
+  std::thread consumer([&] {
+    u64 out = 0;
+    ASSERT_TRUE(q.dequeue(out));
+  });
+  // Wait until the consumer is parked so the enqueue takes the wake path.
+  while (q.approx_waiters() == 0) std::this_thread::yield();
+  q.enqueue(42);
+  consumer.join();
+
+  EXPECT_GE(q.telemetry().parks(), 1u);
+  EXPECT_GE(q.telemetry().wakes(), 1u);
+  EXPECT_EQ(count_records(trc::event_type::park), q.telemetry().parks());
+  EXPECT_EQ(count_records(trc::event_type::wake), q.telemetry().wakes());
+}
+
+TEST(TraceObserver, FabricStealsAndSweepsFeedBothSinks) {
+  trc::registry::instance().reset();
+  ffq::shard::fabric<long long, false, layout_aligned, traced> fab(2, 64);
+  auto c0 = fab.consumer();  // cursor starts at shard 0
+  auto p1 = fab.producer(1);
+  for (int i = 0; i < 10; ++i) p1.enqueue(i);
+  std::vector<long long> buf(16);
+  // Shard 0 is empty and shard 1 holds 10: the drain must steal.
+  ASSERT_EQ(c0.try_dequeue_bulk(buf.begin(), buf.size()), 10u);
+  long long v = 0;
+  EXPECT_FALSE(c0.try_dequeue(v));  // fabric empty: a full sweep fails
+
+  const auto& t = fab.telemetry();
+  EXPECT_EQ(t.steals(), 1u);
+  EXPECT_GE(t.empty_sweeps(), 1u);
+  EXPECT_EQ(count_records(trc::event_type::shard_steal), t.steals());
+  EXPECT_EQ(count_records(trc::event_type::empty_sweep), t.empty_sweeps());
+}
+
 // The acceptance scenario, in-process: an MPMC stress run whose merged
 // trace the validator certifies (per-producer FIFO, no loss, no dup).
 TEST(TraceQueues, MpmcStressTraceValidates) {
@@ -534,7 +587,7 @@ TEST(TraceQueues, MpmcStressTraceValidates) {
   constexpr int kProducers = 2;
   constexpr int kConsumers = 2;
   constexpr u64 kItems = 2000;  // per producer
-  mpmc_q<trc::enabled> q(256);
+  mpmc_q q(256);
 
   std::vector<std::thread> threads;
   std::atomic<u64> consumed{0};
@@ -709,7 +762,7 @@ TEST(TraceExport, TimestampsAreRebasedAndScaled) {
 TEST(TraceExport, WriteChromeTraceProducesParseableFile) {
   auto& reg = trc::registry::instance();
   reg.reset();
-  spmc_q<trc::enabled> q(64);
+  spmc_q q(64);
   trc::set_thread_name("exporter-test");
   for (u64 i = 1; i <= 4; ++i) q.enqueue(i);
   u64 v = 0;
@@ -855,7 +908,7 @@ struct fake_clock {
 TEST(TraceWatchdog, StuckConsumerIsDetectedAndNamedDeterministically) {
   auto& reg = trc::registry::instance();
   reg.reset();
-  spmc_q<trc::enabled> q(64);
+  spmc_q q(64);
   for (u64 i = 1; i <= 10; ++i) q.enqueue(i);
 
   std::thread consumer([&] {
@@ -898,7 +951,7 @@ TEST(TraceWatchdog, StuckConsumerIsDetectedAndNamedDeterministically) {
 TEST(TraceWatchdog, RecoversAndStaysQuietOncePerIncident) {
   auto& reg = trc::registry::instance();
   reg.reset();
-  spmc_q<trc::enabled> q(64);
+  spmc_q q(64);
   q.enqueue(1);
   q.enqueue(2);
 
@@ -935,7 +988,7 @@ TEST(TraceWatchdog, RecoversAndStaysQuietOncePerIncident) {
 
 TEST(TraceWatchdog, FullRingLivelockVerdictDeterministically) {
   trc::registry::instance().reset();
-  spmc_q<trc::enabled> q(4);
+  spmc_q q(4);
   for (u64 i = 1; i <= 4; ++i) q.enqueue(i);  // ring full, nobody consumes
 
   fake_clock clock;
@@ -954,7 +1007,7 @@ TEST(TraceWatchdog, FullRingLivelockVerdictDeterministically) {
 
 TEST(TraceWatchdog, IdleQueueNeverTriggers) {
   trc::registry::instance().reset();
-  spmc_q<trc::enabled> q(64);  // empty: tail == head
+  spmc_q q(64);  // empty: tail == head
   fake_clock clock;
   trc::watchdog::config cfg;
   cfg.stall_threshold = std::chrono::milliseconds(10);
@@ -976,7 +1029,7 @@ TEST(TraceWatchdog, IdleQueueNeverTriggers) {
 
 TEST(TraceIntrospection, RanksAndCellsReflectQueueState) {
   trc::registry::instance().reset();
-  mpmc_q<trc::enabled> q(8);
+  mpmc_q q(8);
   EXPECT_EQ(q.head_rank(), 0);
   EXPECT_EQ(q.tail_rank(), 0);
   q.enqueue(10);

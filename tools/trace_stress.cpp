@@ -1,7 +1,7 @@
 // trace_stress — short MPMC stress run with tracing force-enabled,
 // exporting an "ffq.trace.v1" file for trace_check / Perfetto.
 //
-// Policies are pinned to `enabled` explicitly (not default_policy) so
+// The observer is pinned to `trace` explicitly (not default_observer) so
 // this binary produces a full trace in every build configuration — the
 // CI trace leg runs it and then validates the export with trace_check
 // --expect-drained, closing the loop: real queues, real threads, real
@@ -22,9 +22,8 @@
 
 namespace {
 
-using queue_type =
-    ffq::core::mpmc_queue<std::uint64_t, ffq::core::layout_aligned,
-                          ffq::telemetry::enabled, ffq::trace::enabled>;
+using queue_type = ffq::core::mpmc_queue<std::uint64_t, ffq::core::layout_aligned,
+                                         ffq::observe::trace>;
 
 bool parse_flag(const std::string& arg, const char* name, long& out) {
   const std::string prefix = std::string(name) + "=";
