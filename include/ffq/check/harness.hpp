@@ -179,6 +179,7 @@ run_result run_program(const program_config& cfg, Driver& driver) {
       std::vector<long long> buf(
           cfg.dequeue_batch > 0 ? static_cast<std::size_t>(cfg.dequeue_batch)
                                 : std::size_t{1});
+      bool closed_seen = false;
       for (;;) {
         const std::uint64_t inv = stamp++;
         std::size_t n = 0;
@@ -206,8 +207,13 @@ run_result run_program(const program_config& cfg, Driver& driver) {
           }
           continue;
         }
-        if (q.closed()) break;  // closed and this try found nothing: done
-        coop_sched::yield();    // empty but open: let someone else run
+        // Done once a try that began after the close found nothing. A try
+        // that began before it may have missed an item published meanwhile
+        // (a fabric try visits its shards one at a time), so seeing the
+        // close earns one more try, as in the fabric's blocking dequeue.
+        if (closed_seen) break;
+        closed_seen = q.closed();
+        if (!closed_seen) coop_sched::yield();  // empty but open
       }
     });
   }

@@ -53,7 +53,9 @@ class table {
 void print_experiment_header(const std::string& experiment_id,
                              const std::string& description);
 
-/// Parse `--csv <path>`-style flags shared by all benches.
+/// Parse `--csv <path>`-style flags shared by all benches. `--help` prints
+/// the usage and exits 0; an unknown flag, or a flag missing its value,
+/// prints the usage to stderr and exits 2.
 struct bench_cli {
   std::string csv_path;      ///< empty = no CSV
   std::string json_path;     ///< empty = no JSON report

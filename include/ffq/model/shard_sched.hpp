@@ -159,7 +159,8 @@ class shard_producer : public thread_m {
 /// quota: visit the cursor's shard (non-committal emptiness check, then a
 /// batch-bounded claim), resolve the claimed run with the Algorithm 1
 /// cell protocol, steal from the largest other shard when the cursor's
-/// shard is dry, and advance the cursor when a visit under-fills.
+/// shard is dry, and end a shard's turn after kTurnVisits full visits or
+/// one under-filled visit (a steal opens the stolen shard's turn).
 class shard_consumer : public thread_m {
  public:
   shard_consumer(int start_cursor, int quota, int batch,
@@ -263,7 +264,7 @@ class shard_consumer : public thread_m {
         best_ = -1;
         best_sz_ = 0;
         pc_ = nshards > 1 ? pc::scan_probe : pc::visit_load_tail;
-        if (nshards <= 1) cursor_ = 0;
+        if (nshards <= 1) next_turn(nshards);
         break;
       }
       case pc::scan_probe: {
@@ -281,7 +282,7 @@ class shard_consumer : public thread_m {
         if (best_sz_ > 0) {
           pc_ = pc::steal_load_tail;
         } else {
-          cursor_ = (cursor_ + 1) % nshards;  // empty sweep: move on
+          next_turn(nshards);  // empty sweep: move on
           pc_ = pc::visit_load_tail;
         }
         break;
@@ -298,7 +299,7 @@ class shard_consumer : public thread_m {
         const int h = w.shard_heads_[static_cast<std::size_t>(active_)];
         const int avail = t_ - h;
         if (avail <= 0) {
-          cursor_ = (cursor_ + 1) % nshards;
+          next_turn(nshards);
           pc_ = pc::visit_load_tail;
           break;
         }
@@ -306,7 +307,6 @@ class shard_consumer : public thread_m {
         w.shard_heads_[static_cast<std::size_t>(active_)] = h + claimed_;
         rank_ = active_ * world::kShardRankStride + h;
         end_ = rank_ + claimed_;
-        cursor_ = active_;  // keep draining the stolen shard next visit
         pc_ = pc::check_rank;
         break;
       }
@@ -326,6 +326,7 @@ class shard_consumer : public thread_m {
     out.push_back(val_);
     out.push_back(taken_);
     out.push_back(claimed_);
+    out.push_back(turn_);
     out.push_back(scan_i_);
     out.push_back(best_);
     out.push_back(best_sz_);
@@ -355,8 +356,13 @@ class shard_consumer : public thread_m {
     finished
   };
 
-  /// A rank in the claimed run is decided: next rank, or end the visit —
-  /// an under-filled visit advances the round-robin cursor.
+  /// Full visits per shard turn (shard.hpp, consumer_handle).
+  static constexpr int kTurnVisits = 2;
+
+  /// A rank in the claimed run is decided: next rank, or end the visit.
+  /// A steal (whose target is never the cursor's shard) opens the stolen
+  /// shard's turn; a cursor visit ends the turn when it under-fills or is
+  /// the turn's last full visit.
   void advance_rank(int nshards) {
     ++rank_;
     if (rank_ != end_) {
@@ -364,9 +370,20 @@ class shard_consumer : public thread_m {
     } else if (taken_ == quota_) {
       pc_ = pc::finished;
     } else {
-      if (claimed_ < batch_) cursor_ = (cursor_ + 1) % nshards;
+      if (active_ != cursor_) {
+        cursor_ = active_;
+        turn_ = 1;
+      } else if (claimed_ < batch_ || ++turn_ == kTurnVisits) {
+        next_turn(nshards);
+      }
       pc_ = pc::visit_load_tail;
     }
+  }
+
+  /// Move the round-robin cursor to the next shard's turn.
+  void next_turn(int nshards) {
+    cursor_ = (cursor_ + 1) % nshards;
+    turn_ = 0;
   }
 
   pc pc_ = pc::visit_load_tail;
@@ -379,6 +396,7 @@ class shard_consumer : public thread_m {
   int val_ = 0;
   int taken_ = 0;
   int claimed_ = 0;
+  int turn_ = 0;  ///< full cursor visits so far in the current shard's turn
   int scan_i_ = 0;
   int best_ = -1;
   int best_sz_ = 0;

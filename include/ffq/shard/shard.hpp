@@ -12,11 +12,17 @@
 //   * producer p owns shard p, a plain FFQ^s (spmc_queue): enqueue is the
 //     paper's wait-free Algorithm 1 path — no DWCAS, no producer-producer
 //     cache-line contention, no -2 reservation a consumer can park behind;
-//   * consumers run a shard scheduler: round-robin over shards with a
-//     per-visit drain quota, draining through the bulk dequeue path (one
-//     head fetch-and-add claims a whole run), plus a steal pass — when
-//     the cursor's shard runs dry the consumer jumps to the busiest shard
-//     (by approx_size) instead of blindly walking the ring;
+//   * consumers run a shard scheduler: round-robin over shards in turns
+//     of up to two quota-capped visits, draining through the bulk dequeue
+//     path (one head fetch-and-add claims a whole run), plus a steal pass
+//     — when the cursor's shard runs dry the consumer jumps to the
+//     busiest shard (by approx_size) instead of blindly walking the ring;
+//   * shards pack their cells (layout_compact by default): aligned cells
+//     only pay off when several threads write neighbouring cells at once
+//     (paper Fig. 2), and a shard has one producer and is drained in
+//     runs, so neighbouring cells belong to the same claim. Pass
+//     layout_aligned when many handles make scalar try_dequeue refills
+//     of one shard (ordered mode with many consumers);
 //   * Ordered mode stamps every item with an epoch drawn from a shared
 //     relaxed counter (one fetch_add per enqueue — still far cheaper than
 //     FFQ^m's DWCAS claim protocol, and uncontended in the common case
@@ -109,9 +115,9 @@ struct no_epoch {};
 
 /// Scheduler knobs + advisory placement.
 struct options {
-  /// Max items a consumer takes from one shard per visit before the
-  /// cursor is eligible to move (the scheduler's fairness/locality
-  /// trade-off; also the cap on a steal's bite).
+  /// Max items a consumer takes from one shard per visit (the
+  /// scheduler's fairness/locality trade-off; also the cap on a steal's
+  /// bite).
   std::size_t drain_quota = 64;
   /// Shard → CPU strategy, computed via runtime::plan_placement. `none`
   /// (default) skips topology discovery entirely.
@@ -124,9 +130,10 @@ struct options {
 
 /// The sharded SPMC fabric. One FFQ^s shard per producer; `Ordered`
 /// selects epoch-stamped merge fan-in. Layout and Observer forward to
-/// every shard (layout policy per shard, as in the scalar queues).
+/// every shard (layout policy per shard, as in the scalar queues); shards
+/// pack their cells unless told otherwise (see the header comment).
 template <typename T, bool Ordered = false,
-          typename Layout = ffq::core::layout_aligned,
+          typename Layout = ffq::core::layout_compact,
           typename Observer = ffq::observe::default_observer>
 class fabric {
   static_assert(std::is_nothrow_move_constructible_v<T>,
@@ -292,8 +299,10 @@ class fabric {
     }
 
     /// Unordered scheduler: visit the cursor's shard (quota-capped bulk
-    /// claim), steal from the busiest shard when it is dry, advance the
-    /// cursor round-robin when a visit under-fills.
+    /// claim); the shard's turn ends after kTurnVisits full visits, or at
+    /// once when a visit under-fills, so a shard its producer keeps full
+    /// cannot hold the consumer. When the cursor's shard is dry, steal
+    /// from the busiest shard, which then gets one more visit.
     template <typename OutIt>
     std::size_t drain_unordered(OutIt out, std::size_t max_n) noexcept {
       const std::size_t want = std::min(max_n, fab_->opts_.drain_quota);
@@ -301,7 +310,7 @@ class fabric {
       FFQ_CHECK_YIELD();  // scheduling point: the cursor visit
       std::size_t n = fab_->shard(cursor_).try_dequeue_bulk(out, want);
       if (n > 0) {
-        if (n < want) advance();  // shard (nearly) dry: move on next visit
+        if (n < want || ++turn_ == kTurnVisits) advance();
         fab_->obs_.on_drain(n);
         return n;
       }
@@ -323,7 +332,8 @@ class fabric {
         FFQ_CHECK_YIELD();  // window: the target may drain before we claim
         n = fab_->shard(best).try_dequeue_bulk(out, want);
         if (n > 0) {
-          cursor_ = best;  // keep draining the stolen shard next visit
+          cursor_ = best;  // this visit opens the stolen shard's turn
+          turn_ = 1;
           fab_->obs_.on_steal(best);
           fab_->obs_.on_drain(n);
           return n;
@@ -370,14 +380,21 @@ class fabric {
 
     void advance() noexcept {
       cursor_ = step_from(cursor_, 1, fab_->shards_.size());
+      turn_ = 0;
     }
     static std::size_t step_from(std::size_t s, std::size_t by,
                                  std::size_t n) noexcept {
       return (s + by) % n;
     }
 
+    /// Full visits per shard turn. Any bound ends starvation; one visit
+    /// per turn (strict alternation) ran about 20% slower than two on
+    /// the fanin_shard benchmark (DESIGN.md §11).
+    static constexpr std::size_t kTurnVisits = 2;
+
     fabric* fab_;
     std::size_t cursor_;
+    std::size_t turn_ = 0;  ///< full visits so far in the cursor's turn
     /// Ordered mode only: the merge's per-shard pending item.
     std::vector<std::optional<detail::stamped<T>>> held_;
   };

@@ -131,6 +131,10 @@ void print_experiment_header(const std::string& experiment_id,
 }
 
 bench_cli bench_cli::parse(int argc, char** argv) {
+  constexpr const char* kUsage =
+      "usage: %s [--csv <path>] [--json <path>] [--metrics <path>] "
+      "[--trace <path>] [--runs <n>] [--scale <f>] [--quick] [--help]\n";
+  const char* prog = argc > 0 ? argv[0] : "bench";
   bench_cli cli;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--csv") == 0 && i + 1 < argc) {
@@ -148,9 +152,15 @@ bench_cli bench_cli::parse(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--quick") == 0) {
       cli.quick = true;
     } else if (std::strcmp(argv[i], "--help") == 0) {
-      std::printf(
-          "flags: --csv <path>  --json <path>  --metrics <path>  "
-          "--trace <path>  --runs <n>  --scale <f>  --quick\n");
+      std::printf(kUsage, prog);
+      std::exit(0);
+    } else {
+      // An unknown flag, or a known one missing its value: a typo must not
+      // start a full-scale run.
+      std::fprintf(stderr, "%s: unknown flag or missing value: %s\n", prog,
+                   argv[i]);
+      std::fprintf(stderr, kUsage, prog);
+      std::exit(2);
     }
   }
   if (cli.quick) {

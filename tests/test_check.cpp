@@ -454,6 +454,24 @@ TEST(CheckQueues, FuzzShardFabricBothModesPass) {
                     << "\nschedule: " << chk::format_schedule(o.failure.sched);
 }
 
+// A consumer may stop only after a try that began after the close: a
+// fabric try visits its shards one at a time, so under a rule that stopped
+// after any empty try that then saw the close, an item published during
+// the try was lost (this shape and seed reached it in run 1529).
+TEST(CheckQueues, FabricConsumersStopOnlyAfterATryThatFollowsTheClose) {
+  using q_shard = ffq::shard::fabric<long long, false, layout_aligned, obs_off>;
+  chk::program_config cfg;
+  cfg.capacity = 4;
+  cfg.producers = 2;
+  cfg.items_per_producer = 4;
+  cfg.consumers = 2;
+  cfg.dequeue_batch = 2;
+  cfg.check_linearizability = false;
+  const auto r = chk::fuzz_queue<q_shard>(cfg, 7, 2000);
+  EXPECT_TRUE(r.ok) << r.failure.violation
+                    << "\nschedule: " << chk::format_schedule(r.failure.sched);
+}
+
 TEST(CheckQueues, RecordedScheduleReplaysToTheIdenticalRun) {
   const auto cfg = small_cfg(2, 2);
   chk::random_driver d(99);

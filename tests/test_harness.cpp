@@ -149,6 +149,19 @@ TEST(Report, CliParsing) {
   EXPECT_LT(quick.scale, 1.0);
 }
 
+// --help must not start a run, and neither may a typo or a dangling flag.
+TEST(Report, CliHelpAndBadFlagsExit) {
+  const char* help[] = {"bench", "--quick", "--help"};
+  EXPECT_EXIT(bench_cli::parse(3, const_cast<char**>(help)),
+              ::testing::ExitedWithCode(0), "");
+  const char* typo[] = {"bench", "--quik"};
+  EXPECT_EXIT(bench_cli::parse(2, const_cast<char**>(typo)),
+              ::testing::ExitedWithCode(2), "unknown flag.*--quik");
+  const char* dangling[] = {"bench", "--runs"};
+  EXPECT_EXIT(bench_cli::parse(2, const_cast<char**>(dangling)),
+              ::testing::ExitedWithCode(2), "--runs");
+}
+
 TEST(Driver, ThinkOverheadIsNearTheRequestedMean) {
   const double ns = measure_think_overhead_ns(50, 150, 5000);
   // Mean request is 100 ns; allow generous slack for draw overhead and

@@ -1,9 +1,10 @@
 // Tests for ffq::shard — the sharded SPMC fabric (DESIGN.md §11): the
 // zero-cost claim (the off observer leaves the fabric layout
 // byte-identical, asserted against mirror structs; the counters and trace
-// layouts are pinned too), conservation and
-// per-producer FIFO under real threads in both modes, the ordered mode's
-// closed-drain total order, the scheduler's telemetry counters (steals,
+// layouts are pinned too), the packed default shard layout, conservation
+// and per-producer FIFO under real threads in both modes and both cell
+// layouts, the ordered mode's closed-drain total order, the scheduler's
+// round-robin turns and steals and its telemetry counters (steals,
 // drains, empty polls/sweeps), and placement-plan reuse of the runtime
 // topology layer.
 #include "ffq/shard/shard.hpp"
@@ -17,6 +18,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "ffq/observe/observer.hpp"
@@ -77,6 +79,23 @@ static_assert(layout_is<fab<true, obs::counters>>(320, 64),
               "the counters observer must keep the ordered fabric at 320/64");
 static_assert(layout_is<fab<true, obs::trace>>(320, 64),
               "the trace observer must keep the ordered fabric at 320/64");
+
+// The shipped default: every shard packs its cells (DESIGN.md §11).
+static_assert(std::is_same_v<sh::fabric<long long>::shard_type,
+                             ffq::core::spmc_queue<long long,
+                                                   ffq::core::layout_compact,
+                                                   obs::default_observer>>);
+
+/// The typed tests' fabrics: the shipped default layout and the explicit
+/// aligned one (the tsan and asan legs run both).
+struct default_layout {
+  template <bool Ordered>
+  using fabric = sh::fabric<long long, Ordered>;
+};
+struct aligned_layout {
+  template <bool Ordered>
+  using fabric = sh::fabric<long long, Ordered, ffq::core::layout_aligned>;
+};
 
 /// Value encoding: producer p's i-th item is p * kStride + i, so streams
 /// decompose into per-producer subsequences without a side channel.
@@ -142,6 +161,12 @@ void expect_conservation(const std::vector<std::vector<long long>>& streams,
   ASSERT_EQ(got, want);
 }
 
+template <typename L>
+class ShardFabricLayout : public ::testing::Test {};
+
+using Layouts = ::testing::Types<default_layout, aligned_layout>;
+TYPED_TEST_SUITE(ShardFabricLayout, Layouts);
+
 }  // namespace
 
 TEST(ShardFabric, ShapeAndLifecycle) {
@@ -155,17 +180,17 @@ TEST(ShardFabric, ShapeAndLifecycle) {
   EXPECT_TRUE(fab.closed());
 }
 
-TEST(ShardFabric, UnorderedConservationAndPerProducerFifo) {
+TYPED_TEST(ShardFabricLayout, UnorderedConservationAndPerProducerFifo) {
   const int kProducers = 4, kItems = 5000, kConsumers = 2;
-  fab_plain fab(kProducers, 1024);
+  typename TypeParam::template fabric<false> fab(kProducers, 1024);
   const auto streams = run_fabric(fab, kProducers, kItems, kConsumers);
   expect_conservation(streams, kProducers, kItems);
   for (const auto& s : streams) expect_per_producer_fifo(s);
 }
 
-TEST(ShardFabric, OrderedConservationAndPerProducerFifo) {
+TYPED_TEST(ShardFabricLayout, OrderedConservationAndPerProducerFifo) {
   const int kProducers = 3, kItems = 3000, kConsumers = 2;
-  fab_plain_ord fab(kProducers, 1024);
+  typename TypeParam::template fabric<true> fab(kProducers, 1024);
   const auto streams = run_fabric(fab, kProducers, kItems, kConsumers);
   expect_conservation(streams, kProducers, kItems);
   for (const auto& s : streams) expect_per_producer_fifo(s);
@@ -175,9 +200,9 @@ TEST(ShardFabric, OrderedConservationAndPerProducerFifo) {
 // single consumer yields exact global epoch order. With enqueues issued
 // from one thread, epoch order is enqueue order, so the drained sequence
 // must equal the enqueue sequence even though it zig-zags across shards.
-TEST(ShardFabric, OrderedClosedDrainIsEnqueueOrder) {
+TYPED_TEST(ShardFabricLayout, OrderedClosedDrainIsEnqueueOrder) {
   const int kProducers = 3, kRounds = 40;
-  fab_plain_ord fab(kProducers, 128);
+  typename TypeParam::template fabric<true> fab(kProducers, 128);
   std::vector<long long> want;
   for (int i = 0; i < kRounds; ++i) {
     // Uneven zig-zag so the merge has to interleave shards non-trivially.
@@ -200,9 +225,9 @@ TEST(ShardFabric, OrderedClosedDrainIsEnqueueOrder) {
   ASSERT_EQ(got, want);
 }
 
-TEST(ShardFabric, BulkEnqueueAndBulkDequeueAgree) {
+TYPED_TEST(ShardFabricLayout, BulkEnqueueAndBulkDequeueAgree) {
   const int kProducers = 2, kItems = 4096;
-  fab_plain fab(kProducers, 512);
+  typename TypeParam::template fabric<false> fab(kProducers, 512);
   std::vector<std::thread> pts;
   std::atomic<int> left{kProducers};
   for (int p = 0; p < kProducers; ++p) {
@@ -266,6 +291,55 @@ TEST(ShardFabric, SchedulerCountersCount) {
     if (std::string(name).rfind("drain_batch_", 0) == 0) hist_total += val;
   });
   EXPECT_EQ(hist_total, 1u);
+}
+
+// A producer that keeps its shard full must not keep the consumer: while
+// every shard holds items, one handle's visits cycle through all shards in
+// turns of two full visits. Each visit's items are put back into the shard
+// they came from, so every shard stays at its starting depth.
+TEST(ShardFabric, TurnsCycleThroughShardsThatStayFull) {
+  const std::size_t kShards = 3, kQuota = 64, kTurn = 2;
+  sh::fabric<long long> fab(kShards, 1024);
+  std::vector<decltype(fab)::producer_handle> prods;
+  for (std::size_t p = 0; p < kShards; ++p) {
+    prods.push_back(fab.producer(p));
+    for (int i = 0; i < 512; ++i) {
+      prods[p].enqueue(static_cast<long long>(p) * kStride + i);
+    }
+  }
+  auto c = fab.consumer();  // first handle: cursor starts at shard 0
+  std::vector<long long> buf(kQuota);
+  for (std::size_t visit = 0; visit < 2 * kTurn * kShards; ++visit) {
+    ASSERT_EQ(c.try_dequeue_bulk(buf.begin(), kQuota), kQuota);
+    const std::size_t want = visit / kTurn % kShards;
+    for (long long v : buf) {
+      ASSERT_EQ(static_cast<std::size_t>(v / kStride), want)
+          << "visit " << visit << " should drain shard " << want;
+    }
+    prods[want].enqueue_bulk(buf.begin(), kQuota);
+  }
+}
+
+// A visit that under-fills ends its shard's turn at once, and a steal
+// opens the stolen shard's turn: it gets one more visit, then round-robin
+// resumes from there.
+TEST(ShardFabric, StealAndUnderfillEndTurnsEarly) {
+  sh::fabric<long long> fab(3, 1024);
+  auto p0 = fab.producer(0);
+  auto p1 = fab.producer(1);
+  auto p2 = fab.producer(2);
+  for (int i = 0; i < 300; ++i) p1.enqueue(kStride + i);
+  for (int i = 0; i < 200; ++i) p2.enqueue(2 * kStride + i);
+  auto c = fab.consumer();  // cursor on the empty shard 0
+  std::vector<long long> buf(64);
+  for (long long want : {1, 1, 2, 2}) {  // steal + one visit, then a turn
+    ASSERT_EQ(c.try_dequeue_bulk(buf.begin(), buf.size()), buf.size());
+    EXPECT_EQ(buf.front() / kStride, want);
+  }
+  for (int i = 0; i < 10; ++i) p0.enqueue(i);
+  EXPECT_EQ(c.try_dequeue_bulk(buf.begin(), buf.size()), 10u);  // shard 0
+  EXPECT_EQ(c.try_dequeue_bulk(buf.begin(), buf.size()), buf.size());
+  EXPECT_EQ(buf.front() / kStride, 1);  // the short visit ended 0's turn
 }
 
 TEST(ShardFabric, ConsumerCursorsRotateAcrossHandles) {
