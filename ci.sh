@@ -153,9 +153,11 @@ leg_trace() {
 }
 
 # The binaries both sanitizer legs build and run: the scalar queue
-# suites, the shard fabric suite, the wait/park paths, and telemetry.
+# suites, the shard fabric suite, the wait/park paths, telemetry, and the
+# Fig. 7 syscall service (its one thread scaffold shares captures across
+# app and executor threads).
 SAN_TESTS=(test_spsc test_spmc test_mpmc test_shard test_waitable
-           test_eventcount test_telemetry)
+           test_eventcount test_telemetry test_sgxsim)
 
 leg_tsan() {
   configure tsan build-tsan FFQ_SANITIZE_THREAD=ON FFQ_OBSERVE=COUNTERS

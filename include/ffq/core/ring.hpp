@@ -343,19 +343,22 @@ class ring {
   }
 
   /// Multi-consumer dequeue of up to `max_n` items into `out`: claim a
-  /// run of ranks with a *single* fetch-and-add of `head` and resolve
-  /// each against its cell — the per-item atomic RMW that dominates
-  /// dequeue cost (§III-A) is paid once per run. Gap ranks inside the run
-  /// are dropped in place; a run of only gaps claims again.
+  /// run of ranks with a *single* atomic RMW of `head` and resolve each
+  /// against its cell — the per-item atomic RMW that dominates dequeue
+  /// cost (§III-A) is paid once per run. Gap ranks inside the run are
+  /// dropped in place; a run of only gaps claims again.
   ///
-  /// Blocking: returns ≥ 1 items, or 0 only once closed and drained. A
-  /// scalar claim (max_n = 1) goes straight to the fetch-and-add; a wider
-  /// one is bounded by the published tail, so it parks on at most one
-  /// unproduced rank. Non-blocking: returns 0 without claiming while
-  /// tail ≤ head. Ranks below the observed tail are decided (item or
-  /// gap) for FFQ^s; a racing consumer can still push the claim past the
-  /// tail, and an FFQ^m rank below it can be mid-write — those waits are
-  /// the same ones the blocking claim performs.
+  /// Blocking: returns ≥ 1 items, or 0 only once closed and drained. The
+  /// claim is a fetch-and-add; a scalar one (max_n = 1) goes straight to
+  /// it, a wider one is sized by the published tail, so it parks on at
+  /// most one unproduced rank. Non-blocking: the claim is a
+  /// compare-exchange of `head`, bounded by the tail read with it and
+  /// retried when another consumer moved `head` first, so it never owns a
+  /// rank past that tail; it returns 0 without claiming while tail ≤ head.
+  /// (A fetch-and-add sized from a stale `tail - head` could overshoot the
+  /// tail and then wait for ranks only close() settles.) Ranks below the
+  /// tail are decided (item or gap) for FFQ^s; an FFQ^m rank below it can
+  /// be mid-write, a wait the blocking claim performs too.
   ///
   /// Force-inlined so each entry point compiles to its own body,
   /// specialized for its max_n: scalar calls fold to one fetch-and-add
@@ -368,14 +371,25 @@ class ring {
     for (;;) {
       FFQ_CHECK_YIELD();  // scheduling point: before the run claim
       std::int64_t k = 1;
-      if (!Blocking || max_n > 1) {
-        const std::int64_t avail = tail_->load(std::memory_order_acquire) -
-                                   head_->load(std::memory_order_relaxed);
-        if (!Blocking && avail <= 0) return 0;  // do not claim a rank
-        k = std::clamp<std::int64_t>(avail, 1, static_cast<std::int64_t>(max_n));
-        FFQ_CHECK_YIELD();  // window: a racing consumer may move head here
+      std::int64_t first;
+      if constexpr (Blocking) {
+        if (max_n > 1) {
+          const std::int64_t avail = tail_->load(std::memory_order_acquire) -
+                                     head_->load(std::memory_order_relaxed);
+          k = std::clamp<std::int64_t>(avail, 1, static_cast<std::int64_t>(max_n));
+          FFQ_CHECK_YIELD();  // window: a racing consumer may move head here
+        }
+        first = head_->fetch_add(k, std::memory_order_relaxed);
+      } else {
+        first = head_->load(std::memory_order_relaxed);
+        do {
+          const std::int64_t avail = tail_->load(std::memory_order_acquire) - first;
+          if (avail <= 0) return 0;  // do not claim a rank
+          k = std::min(avail, static_cast<std::int64_t>(max_n));
+          FFQ_CHECK_YIELD();  // window: a racing consumer may move head here
+        } while (!head_->compare_exchange_weak(first, first + k,
+                                               std::memory_order_relaxed));
       }
-      const std::int64_t first = head_->fetch_add(k, std::memory_order_relaxed);
       if (k > 1) obs_.on_rank_block_faa();
       std::size_t taken = 0;
       for (std::int64_t rank = first; rank < first + k; ++rank) {

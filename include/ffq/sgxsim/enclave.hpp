@@ -28,10 +28,6 @@ struct enclave_cost_model {
   /// Surcharge per operation executed inside the enclave (encryption /
   /// EPC effects), in cycles.
   std::uint64_t inside_op_cycles = 200;
-  /// Asynchronous exit (signal delivery etc.), in cycles — the paper's
-  /// "up to 50,000 cycles" path; used by the Lynx discussion, kept for
-  /// completeness.
-  std::uint64_t aex_cycles = 50000;
 };
 
 /// Per-thread enclave context: tracks whether the thread is "inside" and
@@ -71,7 +67,6 @@ class enclave_thread {
 
   bool inside() const noexcept { return inside_; }
   std::uint64_t transitions() const noexcept { return transitions_; }
-  const enclave_cost_model& model() const noexcept { return model_; }
 
  private:
   void charge(std::uint64_t cycles);

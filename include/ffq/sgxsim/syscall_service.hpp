@@ -32,17 +32,6 @@ enum class service_variant { native, sgx_sync, sgx_ffq, sgx_mpmc };
 
 const char* to_string(service_variant v) noexcept;
 
-struct syscall_request {
-  std::uint32_t app_thread = 0;
-  std::uint32_t number = 0;     ///< syscall number (getppid in the bench)
-  std::uint64_t issue_tsc = 0;  ///< for end-to-end latency
-};
-
-struct syscall_response {
-  std::uint64_t result = 0;
-  std::uint64_t issue_tsc = 0;
-};
-
 struct service_config {
   service_variant variant = service_variant::sgx_ffq;
   int app_threads = 1;          ///< producers ("inside the enclave")

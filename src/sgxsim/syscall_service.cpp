@@ -23,14 +23,10 @@ namespace ffq::sgxsim {
 
 const char* to_string(service_variant v) noexcept {
   switch (v) {
-    case service_variant::native:
-      return "native";
-    case service_variant::sgx_sync:
-      return "sgx-sync";
-    case service_variant::sgx_ffq:
-      return "sgx-ffq";
-    case service_variant::sgx_mpmc:
-      return "sgx-mpmc";
+    case service_variant::native: return "native";
+    case service_variant::sgx_sync: return "sgx-sync";
+    case service_variant::sgx_ffq: return "sgx-ffq";
+    case service_variant::sgx_mpmc: return "sgx-mpmc";
   }
   return "?";
 }
@@ -38,414 +34,248 @@ const char* to_string(service_variant v) noexcept {
 namespace {
 
 namespace rt = ffq::runtime;
-
-/// The actual system call under test. getppid(2) "executes fast and
-/// involves no costly system call argument copying, making system call
-/// queues a bottleneck". When cfg.simulated_syscall_ns > 0, a calibrated
-/// spin stands in for it (see the header comment).
-inline std::uint64_t do_syscall(const service_config& cfg) {
-  if (cfg.simulated_syscall_ns > 0.0) {
-    rt::spin_ns(cfg.simulated_syscall_ns);
-    return 42;
-  }
-  return static_cast<std::uint64_t>(::getppid());
-}
-
-void maybe_pin(const service_config& cfg, const rt::cpu_topology& topo, int idx) {
-  if (!cfg.pin_threads || topo.cpus().empty()) return;
-  const auto& cpus = topo.cpus();
-  std::size_t usable = cpus.size();
-  if (cfg.cpu_limit > 0) {
-    usable = std::min<std::size_t>(usable, static_cast<std::size_t>(cfg.cpu_limit));
-  }
-  rt::pin_self_to(cpus[static_cast<std::size_t>(idx) % usable].os_id);
-}
-
 namespace tel = ffq::telemetry;
 
-/// Latency recorders for one service run; all pointers null when
-/// cfg.collect_telemetry is off, so the hot paths pay one predictable
-/// branch per sample and nothing else.
-struct service_recorders {
-  tel::latency_recorder* enqueue = nullptr;
-  tel::latency_recorder* dequeue = nullptr;
-  tel::latency_recorder* e2e = nullptr;
+/// A submission carries its app thread, which sgx_mpmc's reply routing needs.
+struct syscall_request { std::uint32_t app_thread = 0; };
+struct syscall_response { std::uint64_t result = 0; };
+
+/// The system call under test, getppid(2), or the calibrated spin that
+/// stands in for it when cfg.simulated_syscall_ns > 0 (see the header).
+inline std::uint64_t do_syscall(const service_config& cfg) {
+  if (cfg.simulated_syscall_ns <= 0.0) return static_cast<std::uint64_t>(getppid());
+  rt::spin_ns(cfg.simulated_syscall_ns);
+  return 42;
+}
+
+/// The calling thread's shard of recorder "syscall.<variant><stage>";
+/// inert (one predictable branch per sample) unless telemetry is on.
+struct stage_clock {
+  tel::log_histogram* shard = nullptr;
   double tsc_ghz = 1.0;
-
-  static service_recorders make(const service_config& cfg, bool queued) {
-    service_recorders r;
-    if (!cfg.collect_telemetry) return r;
-    auto& reg = tel::registry::instance();
-    const std::string base = std::string("syscall.") + to_string(cfg.variant);
-    r.e2e = &reg.recorder(base + ".e2e_ns");
-    if (queued) {
-      r.enqueue = &reg.recorder(base + ".enqueue_ns");
-      r.dequeue = &reg.recorder(base + ".dequeue_ns");
-    }
-    r.tsc_ghz = rt::tsc_ghz();
-    return r;
+  stage_clock(const service_config& cfg, const char* stage, bool present) {
+    if (!cfg.collect_telemetry || !present) return;
+    shard = tel::registry::instance()
+                .recorder(std::string("syscall.") + to_string(cfg.variant) + stage)
+                .new_shard();
+    tsc_ghz = rt::tsc_ghz();
   }
 
-  std::uint64_t to_ns(std::uint64_t cycles) const noexcept {
-    return static_cast<std::uint64_t>(static_cast<double>(cycles) / tsc_ghz);
+  bool on() const noexcept { return shard != nullptr; }
+  void record(std::uint64_t cycles) const noexcept {
+    if (on()) shard->record(static_cast<std::uint64_t>(cycles / tsc_ghz));
   }
+  void since(std::uint64_t t) const noexcept { if (on()) record(rt::rdtsc() - t); }
 };
 
-inline void record_ns(const service_recorders& rec, tel::log_histogram* shard,
-                      std::uint64_t cycles) noexcept {
-  if (shard != nullptr) shard->record(rec.to_ns(cycles));
-}
-
-// --------------------------------------------------------------------------
-// native: direct calls.
-// --------------------------------------------------------------------------
-service_result run_native(const service_config& cfg) {
+/// The one service run (§V-F). App thread a builds its call functor once,
+/// `make_call(a, enclave)`, then makes calls one at a time (the paper's
+/// flow-control assumption), each `call(t0, enqueue)` timed from after the
+/// inside-op charge to the result in hand; `app_done(a)` follows its last
+/// reply. `executors` OS threads outside run `serve(j, dequeue)`.
+template <typename Serve, typename MakeCall, typename AppDone>
+service_result run_service(const service_config& cfg, std::size_t executors,
+                           Serve serve, MakeCall make_call, AppDone app_done) {
   const auto topo = rt::cpu_topology::discover();
-  const auto rec = service_recorders::make(cfg, /*queued=*/false);
-  rt::spin_barrier barrier(static_cast<std::size_t>(cfg.app_threads) + 1);
-  rt::time_window_recorder window(static_cast<std::size_t>(cfg.app_threads));
-  std::atomic<std::uint64_t> latency_sum{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < cfg.app_threads; ++t) {
-    threads.emplace_back([&, t] {
-      maybe_pin(cfg, topo, t);
-      auto* e2e = rec.e2e != nullptr ? rec.e2e->new_shard() : nullptr;
-      barrier.arrive_and_wait();
-      window.mark_start(static_cast<std::size_t>(t));
-      std::uint64_t local_lat = 0;
-      for (std::uint64_t i = 0; i < cfg.calls_per_thread; ++i) {
-        const std::uint64_t t0 = rt::rdtsc();
-        volatile std::uint64_t r = do_syscall(cfg);
-        (void)r;
-        const std::uint64_t d = rt::rdtsc() - t0;
-        local_lat += d;
-        record_ns(rec, e2e, d);
-      }
-      latency_sum.fetch_add(local_lat, std::memory_order_relaxed);
-      window.mark_end(static_cast<std::size_t>(t));
-      barrier.arrive_and_wait();
-    });
-  }
-  barrier.arrive_and_wait();
-  barrier.arrive_and_wait();
-  for (auto& t : threads) t.join();
-  const double secs = window.seconds();
-
-  service_result res;
-  res.total_calls = cfg.calls_per_thread * static_cast<std::uint64_t>(cfg.app_threads);
-  res.calls_per_sec = static_cast<double>(res.total_calls) / secs;
-  res.avg_latency_cycles =
-      static_cast<double>(latency_sum.load()) / static_cast<double>(res.total_calls);
-  return res;
-}
-
-// --------------------------------------------------------------------------
-// sgx_sync: the traditional exit/trap/re-enter path.
-// --------------------------------------------------------------------------
-service_result run_sgx_sync(const service_config& cfg) {
-  const auto topo = rt::cpu_topology::discover();
-  const auto rec = service_recorders::make(cfg, /*queued=*/false);
-  rt::spin_barrier barrier(static_cast<std::size_t>(cfg.app_threads) + 1);
-  rt::time_window_recorder window(static_cast<std::size_t>(cfg.app_threads));
+  const auto apps = static_cast<std::size_t>(cfg.app_threads);
+  rt::spin_barrier barrier(apps + executors + 1);
+  rt::time_window_recorder window(apps + executors);
   std::atomic<std::uint64_t> latency_sum{0};
   std::atomic<std::uint64_t> transitions{0};
+  // Worker `w` (apps first, then executors) pins itself among the first
+  // cfg.cpu_limit CPUs and names its trace track.
+  const auto& cpus = topo.cpus();
+  const auto limit = static_cast<std::size_t>(cfg.cpu_limit);
+  const std::size_t usable = limit > 0 ? std::min(limit, cpus.size()) : cpus.size();
+  auto start = [&](std::size_t w, const char* role, std::size_t n) {
+    if (cfg.pin_threads && usable > 0) rt::pin_self_to(cpus[w % usable].os_id);
+    if (cfg.trace_path.empty()) return;
+    ffq::trace::set_thread_name(role + std::to_string(n));
+  };
   std::vector<std::thread> threads;
-  for (int t = 0; t < cfg.app_threads; ++t) {
-    threads.emplace_back([&, t] {
-      maybe_pin(cfg, topo, t);
-      enclave_thread enclave(cfg.cost, &transitions);
-      enclave.eenter();
-      auto* e2e = rec.e2e != nullptr ? rec.e2e->new_shard() : nullptr;
+  for (std::size_t j = 0; j < executors; ++j) {
+    threads.emplace_back([&, j] {
+      start(apps + j, "os-", j);
+      const stage_clock dequeue(cfg, ".dequeue_ns", true);
       barrier.arrive_and_wait();
-      window.mark_start(static_cast<std::size_t>(t));
-      std::uint64_t local_lat = 0;
-      for (std::uint64_t i = 0; i < cfg.calls_per_thread; ++i) {
-        const std::uint64_t t0 = rt::rdtsc();
-        enclave.charge_inside_op();
-        volatile std::uint64_t r = enclave.ocall([&] { return do_syscall(cfg); });
-        (void)r;
-        const std::uint64_t d = rt::rdtsc() - t0;
-        local_lat += d;
-        record_ns(rec, e2e, d);
-      }
-      latency_sum.fetch_add(local_lat, std::memory_order_relaxed);
-      window.mark_end(static_cast<std::size_t>(t));
+      window.mark_start(apps + j);
+      serve(j, dequeue);
+      window.mark_end(apps + j);
       barrier.arrive_and_wait();
-      enclave.eexit();
     });
   }
+
+  for (std::size_t a = 0; a < apps; ++a) {
+    threads.emplace_back([&, a] {
+      start(a, "app-", a);
+      // Native threads never enter, so charge_inside_op() stays free.
+      const bool in_enclave = cfg.variant != service_variant::native;
+      enclave_thread enclave(cfg.cost, &transitions);
+      if (in_enclave) enclave.eenter();
+      const stage_clock enqueue(cfg, ".enqueue_ns", executors > 0);
+      const stage_clock e2e(cfg, ".e2e_ns", true);
+      auto call = make_call(a, enclave);
+      barrier.arrive_and_wait();
+      window.mark_start(a);
+      std::uint64_t local_lat = 0;
+      for (std::uint64_t i = 0; i < cfg.calls_per_thread; ++i) {
+        enclave.charge_inside_op();
+        const std::uint64_t t0 = rt::rdtsc();
+        call(t0, enqueue);  // returns with the result in hand
+        const std::uint64_t d = rt::rdtsc() - t0;
+        local_lat += d;
+        e2e.record(d);
+      }
+      app_done(a);
+      latency_sum.fetch_add(local_lat, std::memory_order_relaxed);
+      window.mark_end(a);
+      barrier.arrive_and_wait();
+      if (in_enclave) enclave.eexit();
+    });
+  }
+
   barrier.arrive_and_wait();
   barrier.arrive_and_wait();
   for (auto& t : threads) t.join();
-  const double secs = window.seconds();
 
-  service_result res;
-  res.total_calls = cfg.calls_per_thread * static_cast<std::uint64_t>(cfg.app_threads);
-  res.calls_per_sec = static_cast<double>(res.total_calls) / secs;
-  res.avg_latency_cycles =
-      static_cast<double>(latency_sum.load()) / static_cast<double>(res.total_calls);
-  res.enclave_transitions = transitions.load();
-  return res;
+  const std::uint64_t total = cfg.calls_per_thread * apps;
+  return {.calls_per_sec = static_cast<double>(total) / window.seconds(),
+          .avg_latency_cycles = static_cast<double>(latency_sum.load()) /
+                                static_cast<double>(total),
+          .total_calls = total,
+          .enclave_transitions = transitions.load()};
 }
 
-// --------------------------------------------------------------------------
-// sgx_ffq: per-app-thread FFQ SPMC submission + FFQ SPSC response.
-// --------------------------------------------------------------------------
+constexpr auto nothing = [](auto&&...) {};  // no executors, nothing when done
+
+/// sgx_ffq: per-app-thread FFQ SPMC submission + FFQ SPSC response.
 service_result run_sgx_ffq(const service_config& cfg) {
   using submission_q = ffq::core::spmc_queue<syscall_request>;
   using response_q = ffq::core::spsc_queue<syscall_response>;
-
-  const auto topo = rt::cpu_topology::discover();
-  const int apps = cfg.app_threads;
+  const auto apps = static_cast<std::size_t>(cfg.app_threads);
+  const std::size_t cap = cfg.queue_capacity;
   // Every submission queue needs at least one executor.
-  const int oss = std::max(cfg.os_threads, apps);
+  const std::size_t oss = std::max(cfg.os_threads, cfg.app_threads);
 
-  // "an array with SPSC response queues for each of the consumers
-  // assigned to the producer" (§V-A): one response queue per
-  // (app thread, executor) pair, so each stays single-producer.
-  std::vector<std::unique_ptr<submission_q>> submissions;
-  std::vector<std::vector<std::unique_ptr<response_q>>> responses(apps);
-  for (int a = 0; a < apps; ++a) {
-    submissions.push_back(std::make_unique<submission_q>(cfg.queue_capacity));
-  }
-  for (int j = 0; j < oss; ++j) {
-    responses[j % apps].push_back(
-        std::make_unique<response_q>(cfg.queue_capacity));
-  }
-
-  const auto rec = service_recorders::make(cfg, /*queued=*/true);
-  rt::spin_barrier barrier(static_cast<std::size_t>(apps + oss) + 1);
-  rt::time_window_recorder window(static_cast<std::size_t>(apps + oss));
-  std::atomic<std::uint64_t> latency_sum{0};
-  std::atomic<std::uint64_t> transitions{0};
-  std::vector<std::thread> threads;
-
-  // OS executor threads: each serves the submission queues assigned to
-  // it round-robin (os thread j primarily serves queue j % apps; with
-  // more OS threads than apps, queues get multiple consumers — the SPMC
-  // fan-out the design exists for).
-  for (int j = 0; j < oss; ++j) {
-    threads.emplace_back([&, j] {
-      maybe_pin(cfg, topo, apps + j);
-      if (!cfg.trace_path.empty()) {
-        ffq::trace::set_thread_name("os-" + std::to_string(j));
-      }
-      auto& sub = *submissions[static_cast<std::size_t>(j % apps)];
-      auto& resp = *responses[static_cast<std::size_t>(j % apps)]
-                             [static_cast<std::size_t>(j / apps)];
-      auto* deq = rec.dequeue != nullptr ? rec.dequeue->new_shard() : nullptr;
-      barrier.arrive_and_wait();
-      window.mark_start(static_cast<std::size_t>(apps + j));
-      syscall_request req;
-      for (;;) {
-        // The dequeue sample includes the blocking wait for work — that
-        // is the latency an executor actually pays per request.
-        const std::uint64_t t0 = deq != nullptr ? rt::rdtsc() : 0;
-        if (!sub.dequeue(req)) break;
-        if (deq != nullptr) record_ns(rec, deq, rt::rdtsc() - t0);
-        syscall_response r;
-        r.result = do_syscall(cfg);
-        r.issue_tsc = req.issue_tsc;
-        resp.enqueue(r);
-      }
-      window.mark_end(static_cast<std::size_t>(apps + j));
-      barrier.arrive_and_wait();
-    });
-  }
-
-  // App threads ("inside the enclave"): one outstanding call at a time —
-  // the paper's flow-control assumption.
-  for (int a = 0; a < apps; ++a) {
-    threads.emplace_back([&, a] {
-      maybe_pin(cfg, topo, a);
-      if (!cfg.trace_path.empty()) {
-        ffq::trace::set_thread_name("app-" + std::to_string(a));
-      }
-      enclave_thread enclave(cfg.cost, &transitions);
-      enclave.eenter();
-      auto* enq = rec.enqueue != nullptr ? rec.enqueue->new_shard() : nullptr;
-      auto* e2e = rec.e2e != nullptr ? rec.e2e->new_shard() : nullptr;
-      barrier.arrive_and_wait();
-      window.mark_start(static_cast<std::size_t>(a));
-      auto& sub = *submissions[a];
-      auto& my_responses = responses[a];
-      std::uint64_t local_lat = 0;
-      std::size_t rr = 0;  // round-robin over this thread's response queues
-      for (std::uint64_t i = 0; i < cfg.calls_per_thread; ++i) {
-        enclave.charge_inside_op();
-        syscall_request req;
-        req.app_thread = static_cast<std::uint32_t>(a);
-        req.issue_tsc = rt::rdtsc();
-        sub.enqueue(req);
-        if (enq != nullptr) record_ns(rec, enq, rt::rdtsc() - req.issue_tsc);
-        // "loop through the response queues for dequeuing values".
-        syscall_response r;
-        rt::yielding_backoff bo;
-        for (;;) {
-          if (my_responses[rr]->try_dequeue(r)) break;
-          rr = (rr + 1) % my_responses.size();
-          if (rr == 0) bo.pause();
-        }
-        const std::uint64_t d = rt::rdtsc() - r.issue_tsc;
-        local_lat += d;
-        record_ns(rec, e2e, d);
-      }
-      sub.close();
-      latency_sum.fetch_add(local_lat, std::memory_order_relaxed);
-      window.mark_end(static_cast<std::size_t>(a));
-      barrier.arrive_and_wait();
-      enclave.eexit();
-    });
-  }
-
-  barrier.arrive_and_wait();
-  barrier.arrive_and_wait();
-  for (auto& t : threads) t.join();
-  const double secs = window.seconds();
-
-  if (cfg.collect_telemetry) {
-    // Fold queue event counters into registry totals before the queues
-    // die with this scope (no-op in FFQ_OBSERVE=OFF builds, where the
-    // default observer's counter block is empty).
-    auto& reg = tel::registry::instance();
-    for (const auto& s : submissions) {
-      reg.accumulate_queue("queue.sgx-ffq.submission", s->telemetry());
+  // Executor j takes from app j % apps's submission queue (more executors
+  // than apps: the SPMC fan-out the design exists for) and answers through
+  // response queue j, so app a's queues a, a + apps, ... are "an array with
+  // SPSC response queues for each of the consumers assigned to the
+  // producer" (§V-A).
+  std::vector<std::unique_ptr<submission_q>> submissions(apps);
+  std::vector<std::unique_ptr<response_q>> responses(oss);
+  for (auto& q : submissions) q = std::make_unique<submission_q>(cap);
+  for (auto& q : responses) q = std::make_unique<response_q>(cap);
+  auto serve = [&](std::size_t j, const stage_clock& dequeue) {
+    auto& sub = *submissions[j % apps];
+    auto& resp = *responses[j];
+    syscall_request req;
+    for (;;) {
+      // The dequeue sample includes the blocking wait for work — that
+      // is the latency an executor actually pays per request.
+      const std::uint64_t t0 = dequeue.on() ? rt::rdtsc() : 0;
+      if (!sub.dequeue(req)) break;
+      dequeue.since(t0);
+      resp.enqueue(syscall_response{do_syscall(cfg)});
     }
-    for (const auto& per_app : responses) {
-      for (const auto& r : per_app) {
-        reg.accumulate_queue("queue.sgx-ffq.response", r->telemetry());
-      }
-    }
-  }
-
-  service_result res;
-  res.total_calls = cfg.calls_per_thread * static_cast<std::uint64_t>(apps);
-  res.calls_per_sec = static_cast<double>(res.total_calls) / secs;
-  res.avg_latency_cycles =
-      static_cast<double>(latency_sum.load()) / static_cast<double>(res.total_calls);
-  res.enclave_transitions = transitions.load();
-  return res;
-}
-
-// --------------------------------------------------------------------------
-// sgx_mpmc: one global generic MPMC queue for submissions (the paper's
-// "external MPMC queue"), per-app-thread MPMC response queues.
-// --------------------------------------------------------------------------
-service_result run_sgx_mpmc(const service_config& cfg) {
-  using submission_q = ffq::baselines::vyukov_mpmc_queue<syscall_request>;
-  using response_q = ffq::baselines::vyukov_mpmc_queue<syscall_response>;
-
-  const auto topo = rt::cpu_topology::discover();
-  const int apps = cfg.app_threads;
-  const int oss = std::max(cfg.os_threads, 1);
-
-  submission_q submission(cfg.queue_capacity);
-  std::vector<std::unique_ptr<response_q>> responses;
-  for (int a = 0; a < apps; ++a) {
-    responses.push_back(std::make_unique<response_q>(cfg.queue_capacity));
-  }
-
-  const auto rec = service_recorders::make(cfg, /*queued=*/true);
-  rt::spin_barrier barrier(static_cast<std::size_t>(apps + oss) + 1);
-  rt::time_window_recorder window(static_cast<std::size_t>(apps + oss));
-  std::atomic<std::uint64_t> latency_sum{0};
-  std::atomic<std::uint64_t> transitions{0};
-  std::atomic<int> producers_done{0};
-  std::vector<std::thread> threads;
-
-  for (int j = 0; j < oss; ++j) {
-    threads.emplace_back([&, j] {
-      maybe_pin(cfg, topo, apps + j);
-      auto* deq = rec.dequeue != nullptr ? rec.dequeue->new_shard() : nullptr;
-      barrier.arrive_and_wait();
-      window.mark_start(static_cast<std::size_t>(apps + j));
-      syscall_request req;
+  };
+  auto make_call = [&](std::size_t a, enclave_thread&) {
+    // "loop through the response queues for dequeuing values", starting
+    // at the one that answered last.
+    return [&sub = *submissions[a], queues = responses.data(), apps, oss, a,
+            rr = a](std::uint64_t t0, const stage_clock& enqueue) mutable {
+      sub.enqueue(syscall_request{});
+      enqueue.since(t0);
+      syscall_response r;
       rt::yielding_backoff bo;
-      std::uint64_t wait_start = deq != nullptr ? rt::rdtsc() : 0;
-      for (;;) {
-        if (submission.try_dequeue(req)) {
-          bo.reset();
-          if (deq != nullptr) {
-            const std::uint64_t now = rt::rdtsc();
-            record_ns(rec, deq, now - wait_start);
-          }
-          syscall_response r;
-          r.result = do_syscall(cfg);
-          r.issue_tsc = req.issue_tsc;
-          responses[req.app_thread]->enqueue(r);
-          if (deq != nullptr) wait_start = rt::rdtsc();
-        } else if (producers_done.load(std::memory_order_acquire) == apps) {
-          if (!submission.try_dequeue(req)) break;
-          syscall_response r;
-          r.result = do_syscall(cfg);
-          r.issue_tsc = req.issue_tsc;
-          responses[req.app_thread]->enqueue(r);
-        } else {
+      while (!queues[rr]->try_dequeue(r)) {
+        if ((rr += apps) >= oss) {
+          rr = a;
           bo.pause();
         }
       }
-      window.mark_end(static_cast<std::size_t>(apps + j));
-      barrier.arrive_and_wait();
-    });
+      return r.result;
+    };
+  };
+  auto close = [&](std::size_t a) { submissions[a]->close(); };
+  const auto res = run_service(cfg, oss, serve, make_call, close);
+
+  if (cfg.collect_telemetry) {
+    // Fold queue event counters into registry totals before the queues
+    // die with this scope (no-op under the FFQ_OBSERVE=OFF observer).
+    auto& reg = tel::registry::instance();
+    for (const auto& q : submissions)
+      reg.accumulate_queue("queue.sgx-ffq.submission", q->telemetry());
+    for (const auto& q : responses)
+      reg.accumulate_queue("queue.sgx-ffq.response", q->telemetry());
   }
-
-  for (int a = 0; a < apps; ++a) {
-    threads.emplace_back([&, a] {
-      maybe_pin(cfg, topo, a);
-      enclave_thread enclave(cfg.cost, &transitions);
-      enclave.eenter();
-      auto* enq = rec.enqueue != nullptr ? rec.enqueue->new_shard() : nullptr;
-      auto* e2e = rec.e2e != nullptr ? rec.e2e->new_shard() : nullptr;
-      barrier.arrive_and_wait();
-      window.mark_start(static_cast<std::size_t>(a));
-      auto& resp = *responses[a];
-      std::uint64_t local_lat = 0;
-      for (std::uint64_t i = 0; i < cfg.calls_per_thread; ++i) {
-        enclave.charge_inside_op();
-        syscall_request req;
-        req.app_thread = static_cast<std::uint32_t>(a);
-        req.issue_tsc = rt::rdtsc();
-        submission.enqueue(req);
-        if (enq != nullptr) record_ns(rec, enq, rt::rdtsc() - req.issue_tsc);
-        syscall_response r;
-        rt::yielding_backoff bo;
-        while (!resp.try_dequeue(r)) bo.pause();
-        const std::uint64_t d = rt::rdtsc() - r.issue_tsc;
-        local_lat += d;
-        record_ns(rec, e2e, d);
-      }
-      producers_done.fetch_add(1, std::memory_order_release);
-      latency_sum.fetch_add(local_lat, std::memory_order_relaxed);
-      window.mark_end(static_cast<std::size_t>(a));
-      barrier.arrive_and_wait();
-      enclave.eexit();
-    });
-  }
-
-  barrier.arrive_and_wait();
-  barrier.arrive_and_wait();
-  for (auto& t : threads) t.join();
-  const double secs = window.seconds();
-
-  service_result res;
-  res.total_calls = cfg.calls_per_thread * static_cast<std::uint64_t>(apps);
-  res.calls_per_sec = static_cast<double>(res.total_calls) / secs;
-  res.avg_latency_cycles =
-      static_cast<double>(latency_sum.load()) / static_cast<double>(res.total_calls);
-  res.enclave_transitions = transitions.load();
   return res;
+}
+
+/// sgx_mpmc: one global generic MPMC queue for submissions (the paper's
+/// "external MPMC queue"), per-app-thread MPMC response queues.
+service_result run_sgx_mpmc(const service_config& cfg) {
+  using response_q = ffq::baselines::vyukov_mpmc_queue<syscall_response>;
+  const auto apps = static_cast<std::size_t>(cfg.app_threads);
+  ffq::baselines::vyukov_mpmc_queue<syscall_request> submission(cfg.queue_capacity);
+  std::vector<std::unique_ptr<response_q>> responses(apps);
+  for (auto& q : responses) q = std::make_unique<response_q>(cfg.queue_capacity);
+  // An app counts itself done only after its last reply, so once every
+  // app is done every request has been taken and the executors stop.
+  std::atomic<std::size_t> apps_done{0};
+  auto serve = [&](std::size_t, const stage_clock& dequeue) {
+    syscall_request req;
+    rt::yielding_backoff bo;
+    std::uint64_t wait_start = dequeue.on() ? rt::rdtsc() : 0;
+    for (;;) {
+      if (!submission.try_dequeue(req)) {
+        if (apps_done.load(std::memory_order_acquire) == apps) break;
+        bo.pause();
+        continue;
+      }
+      bo.reset();
+      dequeue.since(wait_start);
+      responses[req.app_thread]->enqueue(syscall_response{do_syscall(cfg)});
+      if (dequeue.on()) wait_start = rt::rdtsc();
+    }
+  };
+  auto make_call = [&](std::size_t a, enclave_thread&) {
+    return [&submission, &resp = *responses[a],
+            req = syscall_request{static_cast<std::uint32_t>(a)}](
+               std::uint64_t t0, const stage_clock& enqueue) {
+      submission.enqueue(req);
+      enqueue.since(t0);
+      syscall_response r;
+      rt::yielding_backoff bo;
+      while (!resp.try_dequeue(r)) bo.pause();
+      return r.result;
+    };
+  };
+  auto count_done = [&](std::size_t) {
+    apps_done.fetch_add(1, std::memory_order_release);
+  };
+  const auto oss = static_cast<std::size_t>(std::max(cfg.os_threads, 1));
+  return run_service(cfg, oss, serve, make_call, count_done);
 }
 
 }  // namespace
 
 service_result run_syscall_service(const service_config& cfg) {
+  // native calls directly, from outside any enclave; sgx_sync takes the
+  // traditional exit/trap/re-enter path around each call.
+  auto direct = [&](auto&&...) {
+    return [&](auto&&...) { return do_syscall(cfg); };
+  };
+  auto ocall = [&](std::size_t, enclave_thread& enclave) {
+    return [&](auto...) { return enclave.ocall([&] { return do_syscall(cfg); }); };
+  };
   service_result res{};
   switch (cfg.variant) {
     case service_variant::native:
-      res = run_native(cfg);
+      res = run_service(cfg, 0, nothing, direct, nothing);
       break;
     case service_variant::sgx_sync:
-      res = run_sgx_sync(cfg);
+      res = run_service(cfg, 0, nothing, ocall, nothing);
       break;
     case service_variant::sgx_ffq:
       res = run_sgx_ffq(cfg);

@@ -472,6 +472,42 @@ TEST(CheckQueues, FabricConsumersStopOnlyAfterATryThatFollowsTheClose) {
                     << "\nschedule: " << chk::format_schedule(r.failure.sched);
 }
 
+// A non-blocking claim is bounded by the tail it read and never owns a
+// rank past it. Two try_dequeue_bulk consumers both read tail - head = 1
+// before either claims; once the first has taken the only item, the
+// second must return 0 instead of claiming rank 1 and waiting for it until
+// close() (the shape behind the bench_shard_scaling hang).
+TEST(CheckQueues, NonBlockingClaimNeverOvershootsTheTail) {
+  chk::coop_sched s;
+  q_spmc q(8);
+  q.enqueue(7);
+  std::size_t got[2] = {99, 99};
+  for (int c = 0; c < 2; ++c) {
+    s.spawn([&, c] {
+      long long buf[4];
+      got[c] = q.try_dequeue_bulk(buf, 4);
+    });
+  }
+  // Step 1 stops before the claim, step 2 just after the tail read.
+  for (int c = 0; c < 2; ++c) {
+    ASSERT_TRUE(s.step(c));
+    ASSERT_TRUE(s.step(c));
+  }
+  while (s.step(0)) {
+  }
+  EXPECT_EQ(got[0], 1u);
+  int steps = 0;
+  while (s.step(1) && ++steps < 10000) {
+  }
+  const bool returned = s.done(1);
+  q.close();  // releases an overshot claim so the task can finish
+  while (s.step(1)) {
+  }
+  EXPECT_TRUE(returned) << "second consumer still waiting after " << steps
+                        << " steps";
+  EXPECT_EQ(got[1], 0u);
+}
+
 TEST(CheckQueues, RecordedScheduleReplaysToTheIdenticalRun) {
   const auto cfg = small_cfg(2, 2);
   chk::random_driver d(99);

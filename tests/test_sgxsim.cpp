@@ -4,11 +4,19 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdio>
+#include <fstream>
+#include <set>
+#include <sstream>
+#include <string>
 #include <thread>
 
 #include "ffq/runtime/timing.hpp"
 #include "ffq/sgxsim/enclave.hpp"
 #include "ffq/sgxsim/syscall_service.hpp"
+#include "ffq/telemetry/registry.hpp"
+#include "ffq/trace/json_reader.hpp"
+#include "ffq/trace/registry.hpp"
 
 using namespace ffq::sgxsim;
 
@@ -166,3 +174,87 @@ TEST(SyscallService, VariantNames) {
   EXPECT_STREQ(to_string(service_variant::sgx_ffq), "sgx-ffq");
   EXPECT_STREQ(to_string(service_variant::sgx_mpmc), "sgx-mpmc");
 }
+
+// ---------------------------------------------------------------------------
+// What every variant shares: one service run, parameterised over the four.
+// ---------------------------------------------------------------------------
+
+namespace {
+bool queued(service_variant v) {
+  return v == service_variant::sgx_ffq || v == service_variant::sgx_mpmc;
+}
+
+class SyscallServiceVariant : public ::testing::TestWithParam<service_variant> {};
+}  // namespace
+
+TEST_P(SyscallServiceVariant, KeepsCallsTransitionsAndSampleCounts) {
+  const service_variant v = GetParam();
+  auto& reg = ffq::telemetry::registry::instance();
+  reg.reset();
+  auto cfg = small_cfg(v, 2, 2);
+  cfg.collect_telemetry = true;
+  const auto r = run_syscall_service(cfg);
+  EXPECT_EQ(r.total_calls, 2000u);
+
+  // Per app thread: native never enters the enclave; sgx_sync enters,
+  // pays exit+enter per call and exits; the queued variants only enter
+  // and exit.
+  std::uint64_t per_app = 0;
+  if (v == service_variant::sgx_sync) per_app = 2 + 2 * cfg.calls_per_thread;
+  if (queued(v)) per_app = 2;
+  EXPECT_EQ(r.enclave_transitions, 2 * per_app);
+
+  const auto snap = reg.snapshot();
+  const std::string base = std::string("syscall.") + to_string(v);
+  auto samples = [&](const char* stage) -> long long {
+    const auto it = snap.histograms.find(base + stage);
+    if (it == snap.histograms.end()) return -1;
+    return static_cast<long long>(it->second.count);
+  };
+  const auto calls = static_cast<long long>(r.total_calls);
+  EXPECT_EQ(samples(".e2e_ns"), calls);
+  if (queued(v)) {
+    EXPECT_EQ(samples(".enqueue_ns"), calls);
+    EXPECT_EQ(samples(".dequeue_ns"), calls);
+  } else {
+    EXPECT_EQ(samples(".enqueue_ns"), -1) << "direct calls have no enqueue stage";
+    EXPECT_EQ(samples(".dequeue_ns"), -1) << "direct calls have no executor";
+  }
+  reg.reset();
+}
+
+TEST_P(SyscallServiceVariant, NamesItsTraceThreads) {
+  const service_variant v = GetParam();
+  ffq::trace::registry::instance().reset();
+  auto cfg = small_cfg(v, 1, 1);
+  cfg.calls_per_thread = 100;
+  cfg.trace_path = ::testing::TempDir() + "ffq_sgxsim_names_" +
+                   std::to_string(static_cast<int>(v)) + ".json";
+  run_syscall_service(cfg);
+
+  std::ifstream in(cfg.trace_path);
+  std::stringstream text;
+  text << in.rdbuf();
+  std::remove(cfg.trace_path.c_str());
+  const auto doc = ffq::trace::json::parse(text.str());
+  ASSERT_TRUE(doc.ok) << doc.error;
+  std::set<std::string> names;
+  for (const auto& ev : doc.root["traceEvents"].as_array()) {
+    if (ev["ph"].as_string() == "M" && ev["name"].as_string() == "thread_name") {
+      names.insert(ev["args"]["name"].as_string());
+    }
+  }
+  EXPECT_EQ(names.count("app-0"), 1u);
+  EXPECT_EQ(names.count("os-0"), queued(v) ? 1u : 0u);
+  ffq::trace::registry::instance().reset();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllVariants, SyscallServiceVariant,
+    ::testing::Values(service_variant::native, service_variant::sgx_sync,
+                      service_variant::sgx_ffq, service_variant::sgx_mpmc),
+    [](const ::testing::TestParamInfo<service_variant>& info) {
+      std::string name = to_string(info.param);
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
