@@ -28,13 +28,14 @@
 #            (-fno-sanitize-recover=all, so UB aborts too): buffer and
 #            lifetime bugs the race hunt can't see;
 #  check     FFQ_CHECK=ON build + full suite with live yield points,
-#            then check_explore end to end — exhaustive
-#            preemption-bound-2 DFS over the SPSC, SPMC, and shard-
-#            scheduler models, a seeded schedule fuzz of every real
-#            queue (both fabric modes included via --queue all), and a
-#            mutation-catch gate: an intentionally injected line-29 bug
-#            must be caught with a schedule string that replays to the
-#            same violation.
+#            then check_explore end to end over the code that ships:
+#            delay-bounded DFS at bound 2 over every real queue shape
+#            (polling and blocking consumers, both fabric modes, the
+#            fabric stall shape), a seeded schedule fuzz of every shape
+#            (--queue all), and a mutation gate: each of the six
+#            mutations must be caught at its bound, and its printed
+#            witness must reproduce the same violation under --replay.
+#            The leg prints the wall time of its check_explore steps.
 #
 # Usage: ./ci.sh [options] [jobs]
 #   --leg NAME   run only this leg (repeatable, or comma-separated;
@@ -71,7 +72,7 @@ while [[ $# -gt 0 ]]; do
     --fresh) FRESH=1; shift ;;
     --jobs) JOBS="$2"; shift 2 ;;
     --jobs=*) JOBS="${1#--jobs=}"; shift ;;
-    -h|--help) sed -n '2,51p' "$0" | sed 's/^# \{0,1\}//'; exit 0 ;;
+    -h|--help) sed -n '2,52p' "$0" | sed 's/^# \{0,1\}//'; exit 0 ;;
     [0-9]*) JOBS="$1"; shift ;;  # legacy: ./ci.sh 8
     *) echo "ci.sh: unknown argument '$1' (see --help)" >&2; exit 2 ;;
   esac
@@ -193,29 +194,43 @@ leg_check() {
   configure check build-check FFQ_CHECK=ON FFQ_OBSERVE=OFF
   cmake --build build-check -j "$JOBS"
   ctest --test-dir build-check --output-on-failure -j "$JOBS"
-  echo "--- exhaustive: bound-2 DFS over the SPSC, SPMC, shard models ---"
-  ./build-check/tools/check_explore --model spsc --bound 2
-  ./build-check/tools/check_explore --model spmc --bound 2
-  ./build-check/tools/check_explore --model shard --bound 2
-  ./build-check/tools/check_explore --model mpmc --fuzz 2000 --seed 1
-  echo "--- seeded fuzz: 10000 schedules over every real queue ---"
-  ./build-check/tools/check_explore --queue all --fuzz 10000 --seed 1
-  echo "--- mutation gate: injected line-29 bug must be caught and replay ---"
-  local mut_out="build-check/mutation_catch.out"
-  if ./build-check/tools/check_explore --model spmc \
-       --mutate skip_line29_recheck --bound 2 | tee "$mut_out"; then
-    echo "ci.sh: FAIL — injected mutation was not caught"
-    return 1
-  fi
-  local mut_sched
-  mut_sched=$(sed -n 's/^  schedule: //p' "$mut_out" | head -n 1)
-  test -n "$mut_sched"
-  if ./build-check/tools/check_explore --model spmc \
-       --mutate skip_line29_recheck --replay "$mut_sched"; then
-    echo "ci.sh: FAIL — witness schedule did not reproduce the violation"
-    return 1
-  fi
-  echo "mutation caught and reproduced by schedule $mut_sched"
+  local ce=./build-check/tools/check_explore
+  local explore_start=$SECONDS q
+  echo "--- exhaustive: delay-bounded DFS, bound 2, over every queue shape ---"
+  for q in spsc spmc mpmc waitable shard shard_ordered shard_stall \
+           spsc_blocking spmc_blocking spmc_bulk mpmc_blocking; do
+    "$ce" --queue "$q" --bound 2
+  done
+  echo "--- seeded fuzz: 10000 schedules over every queue shape ---"
+  "$ce" --queue all --fuzz 10000 --seed 1
+  echo "--- mutation gate: each mutation caught at its bound and replayed ---"
+  local spec m b out sched violation rc
+  for spec in publish_before_data:spmc_blocking:2 \
+              skip_line29_recheck:spmc_blocking:2 \
+              claim_publishes_directly:mpmc_blocking:2 \
+              gap_ignores_rank:mpmc_blocking:3 \
+              claim_ignores_gap:mpmc_blocking:2 \
+              throttle_ignores_rank_order:mpmc_blocking:2; do
+    IFS=: read -r m q b <<< "$spec"
+    out="build-check/mutation_$m.out"
+    rc=0
+    "$ce" --queue "$q" --mutate "$m" --bound "$b" > "$out" || rc=$?
+    head -n 2 "$out"
+    if [[ $rc -ne 1 ]]; then
+      echo "ci.sh: FAIL — mutation $m was not caught on $q at bound $b"
+      return 1
+    fi
+    violation=$(sed -n 2p "$out")
+    sched=$(sed -n 's/^  schedule: //p' "$out")
+    rc=0
+    "$ce" --queue "$q" --mutate "$m" --replay "$sched" > "$out.replay" || rc=$?
+    if [[ $rc -ne 1 ]] || [[ "$(sed -n 2p "$out.replay")" != "$violation" ]]; then
+      echo "ci.sh: FAIL — the witness of $m did not reproduce its violation"
+      return 1
+    fi
+    echo "$m: caught on $q at bound $b; the witness replays to it"
+  done
+  echo "check_explore steps: $((SECONDS - explore_start)) s"
 }
 
 TIMING_REPORT=()

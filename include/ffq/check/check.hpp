@@ -1,13 +1,14 @@
 // check.hpp — umbrella header for ffq::check.
 //
 // One include gives a TU the whole checking toolkit:
-//   yield.hpp    — the FFQ_CHECK_YIELD() hook the queues compile against
+//   yield.hpp    — the yield, spin and mutation hooks the queues compile
+//                  against
 //   schedule.hpp — compact replayable schedule strings
 //   sched.hpp    — the controllable cooperative scheduler
-//   drivers.hpp  — seeded-random and replay schedule drivers
+//   drivers.hpp  — seeded-random, replay and delay-bounded DFS drivers
 //   oracles.hpp  — conservation, per-producer FIFO, Wing–Gong checker
 //   harness.hpp  — programs over the real queues (FFQ_CHECK=1 builds)
-//   explore.hpp  — preemption-bounded DFS / replay / fuzz over the models
+//   explore.hpp  — fuzz / delay-bounded DFS / replay of those programs
 #pragma once
 
 #include "ffq/check/drivers.hpp"

@@ -7,13 +7,16 @@
 // operation runs as one indivisible block and the exploration is vacuous.
 //
 // The program shape is fixed and small on purpose: P producers each
-// enqueue `items_per_producer` values (scalar or in batches), the last
-// producer to finish closes the queue, and C consumers drain it with
-// try_dequeue / try_dequeue_bulk + yield loops. Blocking dequeues are
-// never used — the waitable queue's park path enters a futex on the one
-// OS thread everything shares, and the SPMC/MPMC blocking paths commit to
-// a rank before observing emptiness; the try_* paths exercise the same
-// cell protocol without either hazard.
+// enqueue `items_per_producer` values (scalar or in batches), and the last
+// producer to finish closes the queue. Consumers come in two kinds:
+//  * polling (consumer_quota = 0): drain with try_dequeue /
+//    try_dequeue_bulk until a try that began after the close finds
+//    nothing, yielding as a spin-wait while the queue is empty but open;
+//  * blocking (consumer_quota = q > 0): call dequeue / dequeue_bulk until
+//    exactly q items arrived, so claim_run<true> and spsc wait_take run
+//    too. The quotas must add up to the items produced. Not for the
+//    waitable queue: its park path enters a futex on the one OS thread
+//    every task shares.
 //
 // Values encode their origin (producer * kProducerStride + seq), so a run
 // needs no side channel for the oracles: conservation, per-producer FIFO
@@ -28,8 +31,12 @@
 // check_linearizability = false — a sharded fabric is deliberately not
 // linearizable to one FIFO; conservation and per-producer FIFO are its
 // contract.
+//
+// program_config::mutate runs the queues with one safeguard switched off
+// (yield.hpp); the drivers that explore programs live in explore.hpp.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <iterator>
 #include <string>
@@ -40,7 +47,6 @@
 #include "ffq/check/sched.hpp"
 #include "ffq/check/schedule.hpp"
 #include "ffq/check/yield.hpp"
-#include "ffq/runtime/rng.hpp"
 
 namespace ffq::check {
 
@@ -67,10 +73,25 @@ struct queue_ref {
   }
   bool try_dequeue(long long& v) noexcept { return q->try_dequeue(v); }
   template <typename OutIt>
-    requires requires(Queue& qq, OutIt o) { qq.try_dequeue_bulk(o, std::size_t{1}); }
   std::size_t try_dequeue_bulk(OutIt out, std::size_t n) noexcept {
     return q->try_dequeue_bulk(out, n);
   }
+  bool dequeue(long long& v) noexcept { return q->dequeue(v); }
+  template <typename OutIt>
+  std::size_t dequeue_bulk(OutIt out, std::size_t n) noexcept {
+    return q->dequeue_bulk(out, n);
+  }
+};
+
+/// Runs a program with its mutation switched on; the queue code reads it
+/// through FFQ_CHECK_MUTANT.
+class mutation_scope {
+ public:
+  explicit mutation_scope(mutation m) noexcept { tl_mutation = m; }
+  ~mutation_scope() { tl_mutation = mutation::none; }
+
+  mutation_scope(const mutation_scope&) = delete;
+  mutation_scope& operator=(const mutation_scope&) = delete;
 };
 
 template <typename Queue>
@@ -101,8 +122,13 @@ struct program_config {
   int items_per_producer = 6;
   /// 0 = scalar enqueue; n > 0 = enqueue_bulk in batches of n.
   int enqueue_batch = 0;
-  /// 0 = scalar try_dequeue; n > 0 = try_dequeue_bulk of up to n.
+  /// 0 = scalar dequeues; n > 0 = bulk dequeues of up to n.
   int dequeue_batch = 0;
+  /// 0 = polling consumers (try_* until closed and drained); q > 0 =
+  /// blocking consumers that each dequeue exactly q items.
+  int consumer_quota = 0;
+  /// The safeguard switched off for this program (none = the real code).
+  mutation mutate = mutation::none;
   /// Abort the run (as a liveness violation) past this many steps.
   std::uint64_t max_steps = 1'000'000;
   bool check_linearizability = true;
@@ -175,36 +201,44 @@ run_result run_program(const program_config& cfg, Driver& driver) {
       auto& stream = res.streams[static_cast<std::size_t>(c)];
       const int tid = cfg.producers + c;
       auto ep = detail::consumer_endpoint(q);
-      using endpoint_t = decltype(ep);
       std::vector<long long> buf(
           cfg.dequeue_batch > 0 ? static_cast<std::size_t>(cfg.dequeue_batch)
                                 : std::size_t{1});
+      const auto record = [&](std::uint64_t inv, std::size_t n) {
+        const std::uint64_t ret = stamp++;
+        for (std::size_t i = 0; i < n; ++i) {
+          stream.push_back(buf[i]);
+          history.push_back({tid, false, buf[i], inv, ret});
+        }
+      };
+      if (cfg.consumer_quota > 0) {
+        // Blocking: exactly `quota` items, unless the queue reports closed
+        // and drained first (the oracles then name what went missing).
+        for (std::size_t left = static_cast<std::size_t>(cfg.consumer_quota);
+             left > 0;) {
+          const std::uint64_t inv = stamp++;
+          std::size_t n;
+          if (cfg.dequeue_batch > 0) {
+            n = ep.dequeue_bulk(buf.begin(), std::min(buf.size(), left));
+          } else {
+            n = ep.dequeue(buf[0]) ? 1 : 0;
+          }
+          if (n == 0) return;
+          record(inv, n);
+          left -= n;
+        }
+        return;
+      }
       bool closed_seen = false;
       for (;;) {
         const std::uint64_t inv = stamp++;
         std::size_t n = 0;
-        // Every endpoint with a non-committal bulk claim (SPSC family,
-        // SPMC/MPMC try_dequeue_bulk, the fabric's scheduler) takes the
-        // bulk path; the rest fall back to the scalar try path.
-        constexpr bool kHasTryBulk = requires(endpoint_t& e, long long* it) {
-          e.try_dequeue_bulk(it, std::size_t{1});
-        };
-        if constexpr (kHasTryBulk) {
-          if (cfg.dequeue_batch > 0) {
-            n = ep.try_dequeue_bulk(buf.begin(), buf.size());
-          }
+        if (cfg.dequeue_batch > 0) {
+          n = ep.try_dequeue_bulk(buf.begin(), buf.size());
         }
-        if (n == 0) {
-          long long v = 0;
-          n = ep.try_dequeue(v) ? 1 : 0;
-          buf[0] = v;
-        }
+        if (n == 0) n = ep.try_dequeue(buf[0]) ? 1 : 0;
         if (n > 0) {
-          const std::uint64_t ret = stamp++;
-          for (std::size_t i = 0; i < n; ++i) {
-            stream.push_back(buf[i]);
-            history.push_back({tid, false, buf[i], inv, ret});
-          }
+          record(inv, n);
           continue;
         }
         // Done once a try that began after the close found nothing. A try
@@ -213,14 +247,19 @@ run_result run_program(const program_config& cfg, Driver& driver) {
         // close earns one more try, as in the fabric's blocking dequeue.
         if (closed_seen) break;
         closed_seen = q.closed();
-        if (!closed_seen) coop_sched::yield();  // empty but open
+        if (!closed_seen) {  // empty but open: a spin-wait round
+          spin_point();
+          coop_sched::yield();
+        }
       }
     });
   }
 
+  const detail::mutation_scope mutated(cfg.mutate);
+  int last = -1;
   while (!sched.all_done()) {
     const std::vector<int> runnable = sched.runnable();
-    const int pick = driver.pick(runnable);
+    const int pick = driver.pick(runnable, last >= 0 && sched.waiting(last));
     if (pick < 0) {
       res.ok = false;
       res.violation = "schedule: driver stopped before the program finished";
@@ -229,6 +268,7 @@ run_result run_program(const program_config& cfg, Driver& driver) {
     }
     res.sched.picks.push_back(pick);
     sched.step(pick);
+    last = pick;
     if (sched.steps() > cfg.max_steps) {
       res.ok = false;
       res.violation = "liveness: step bound " + std::to_string(cfg.max_steps) +
@@ -253,51 +293,6 @@ run_result run_program(const program_config& cfg, Driver& driver) {
     res.violation = why;
   }
   return res;
-}
-
-struct fuzz_result {
-  bool ok = true;
-  std::uint64_t runs = 0;
-  std::uint64_t failing_seed = 0;  // meaningful only when !ok
-  run_result failure;              // first failing run (when !ok)
-};
-
-/// Run `schedules` independent programs over Queue, each under a fresh
-/// random driver with a seed derived from `seed` via splitmix64 — so any
-/// failure is reproducible from (seed, run index) or, better, from the
-/// schedule string inside `failure`.
-template <typename Queue>
-fuzz_result fuzz_queue(const program_config& cfg, std::uint64_t seed,
-                       std::uint64_t schedules) {
-  fuzz_result out;
-  ffq::runtime::splitmix64 seeder(seed);
-  for (std::uint64_t i = 0; i < schedules; ++i) {
-    const std::uint64_t run_seed = seeder.next();
-    random_driver d(run_seed);
-    run_result r = run_program<Queue>(cfg, d);
-    ++out.runs;
-    if (!r.ok) {
-      out.ok = false;
-      out.failing_seed = run_seed;
-      out.failure = std::move(r);
-      return out;
-    }
-  }
-  return out;
-}
-
-/// Replay a recorded schedule against Queue. Divergence (a pick naming a
-/// finished task, or the schedule ending early) is reported as a
-/// violation — the program must match the one that produced the trace.
-template <typename Queue>
-run_result replay_queue(const program_config& cfg, const schedule& s) {
-  replay_driver d(s);
-  run_result r = run_program<Queue>(cfg, d);
-  if (!r.ok && d.diverged()) {
-    r.violation = "replay: schedule diverged from the program (pick named a "
-                  "task that was not runnable)";
-  }
-  return r;
 }
 
 }  // namespace ffq::check

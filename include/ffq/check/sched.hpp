@@ -7,7 +7,10 @@
 // step(t) resumes task t until it either yields — by calling
 // coop_sched::yield() directly, or transitively through an
 // FFQ_CHECK_YIELD() hook inside a queue operation (yield.hpp installs the
-// thread-local hook for the duration of the step) — or finishes.
+// thread-local hook for the duration of the step) — or finishes. A yield
+// that follows an FFQ_CHECK_SPIN() mark leaves the task `waiting()`: it
+// ended a spin-wait round, which the delay-bounded DFS (drivers.hpp)
+// treats as a free switch.
 //
 // Because all tasks share one OS thread, every explored interleaving is a
 // sequentially consistent total order over yield-point-delimited blocks.
@@ -42,6 +45,10 @@ class coop_sched {
   bool step(int t);
 
   bool done(int t) const;
+
+  /// True if task t's last yield ended a spin-wait round (FFQ_CHECK_SPIN).
+  bool waiting(int t) const;
+
   bool all_done() const;
 
   /// Indices of tasks that have not finished, in spawn order.

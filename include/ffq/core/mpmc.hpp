@@ -172,7 +172,8 @@ class mpmc_queue
       }
       const std::int64_t r = c.rank().load(std::memory_order_acquire);
       if (r >= 0) {
-        if (gaps_this_call >= cap_.size() && r < rank) {
+        if (gaps_this_call >= cap_.size() &&
+            (r < rank || FFQ_CHECK_MUTANT(throttle_ignores_rank_order))) {
           // One full sweep produced only gaps: the ring is full. Stop
           // burning ranks (each dead rank costs every consumer a
           // fetch-add) and wait for this cell to drain; we still hold a
@@ -186,13 +187,17 @@ class mpmc_queue
           // concurrent producers on a full ring), a consumer may be
           // parked on our rank behind it — waiting would deadlock that
           // consumer, so the gap for our rank must be announced.
-          // (Found by the model checker; see tests/test_model.cpp.)
+          // (Found by an exhaustive checker; the mutation
+          // throttle_ignores_rank_order drops the condition, and
+          // ModelAlg2.ThrottleDeadlockRegressionIsCaught in
+          // tests/test_check.cpp must catch the deadlock.)
           ++stalls;
           if (!stall_traced) {  // one instant per episode, not per pause
             obs_.on_full_stall(rank);
             stall_traced = true;
           }
           if (ffq::telemetry::flush_due(stalls)) flush_waits();
+          FFQ_CHECK_SPIN();
           backoff.pause();
           continue;
         }
@@ -200,7 +205,9 @@ class mpmc_queue
         // fails if the item is consumed or the gap moves concurrently;
         // then re-examine the cell.
         typename ffq::runtime::atomic_i64_pair::value_type expected{r, g};
-        if (c.rg.compare_exchange(expected, {r, rank})) {
+        if (FFQ_CHECK_MUTANT(gap_ignores_rank)
+                ? mutant_cas(c.gap(), g, rank)
+                : c.rg.compare_exchange(expected, {r, rank})) {
           obs_.on_gap(rank);
           ++gaps_this_call;
           flush_waits();
@@ -213,9 +220,13 @@ class mpmc_queue
       if (r == detail::kCellFree) {
         // Claim attempt: (-1, g) → (-2, g). Failure means another
         // producer claimed it or a gap moved; re-examine.
+        const bool direct = FFQ_CHECK_MUTANT(claim_publishes_directly);
+        const std::int64_t claim = direct ? rank : detail::kCellReserved;
         typename ffq::runtime::atomic_i64_pair::value_type expected{
             detail::kCellFree, g};
-        if (c.rg.compare_exchange(expected, {detail::kCellReserved, g})) {
+        if (FFQ_CHECK_MUTANT(claim_ignores_gap)
+                ? mutant_cas(c.rank(), detail::kCellFree, claim)
+                : c.rg.compare_exchange(expected, {claim, g})) {
           // The -2 reservation is now visible; the window before the
           // publish below is Algorithm 2's non-wait-free wait (and the
           // watchdog's stuck_producer state), so the checker gets a
@@ -223,7 +234,8 @@ class mpmc_queue
           FFQ_CHECK_YIELD();
           std::construct_at(c.ptr(), std::move(value));
           FFQ_CHECK_YIELD();  // window between the data write and publication
-          c.rank().store(rank, std::memory_order_release);  // publish
+          // Publish.
+          if (!direct) c.rank().store(rank, std::memory_order_release);
           flush_waits();
           obs_.on_enqueue(t0, rank);
           return true;
@@ -236,8 +248,18 @@ class mpmc_queue
       // its publish; wait for it (this is the non-wait-free window).
       ++pauses;
       if (ffq::telemetry::flush_due(pauses)) flush_waits();
+      FFQ_CHECK_SPIN();
       backoff.pause();
     }
+  }
+
+  /// The single-word CAS a DWCAS mutation narrows to. The loads it
+  /// follows and the CAS are separate steps there, so the checker gets a
+  /// scheduling point between them (checked builds only).
+  static bool mutant_cas(std::atomic<std::int64_t>& word, std::int64_t expect,
+                         std::int64_t desired) noexcept {
+    FFQ_CHECK_YIELD();
+    return word.compare_exchange_strong(expect, desired);
   }
 };
 

@@ -259,6 +259,7 @@ class ring {
             obs_.on_full_stalls(stalls);
             stalls = 0;
           }
+          FFQ_CHECK_SPIN();
           full_backoff.pause();
           continue;
         }
@@ -273,9 +274,15 @@ class ring {
         ++consecutive_skips;
         continue;
       }
+      const bool early = FFQ_CHECK_MUTANT(publish_before_data);
+      if (early) {  // lines 16/17 swapped: the rank goes out first
+        c.rank().store(t, std::memory_order_release);
+        FFQ_CHECK_YIELD();
+      }
       std::construct_at(c.ptr(), std::move(*first));
       FFQ_CHECK_YIELD();  // window between the data write and publication
-      c.rank().store(t, std::memory_order_release);  // linearization point
+      // Linearization point.
+      if (!early) c.rank().store(t, std::memory_order_release);
       obs_.on_enqueue(it0, t);
       stalled = false;
       consecutive_skips = 0;
@@ -312,15 +319,17 @@ class ring {
         obs_.on_dequeue(t0, rank);
         return rank_state::taken;
       }
-      // Skipped? gap must be read before the rank re-check: the
-      // producer may have *filled* the cell for our rank after our
-      // first look and then announced a gap for a later rank on a
-      // subsequent traversal (paper's line-29 discussion). The two loads
-      // are distinct atomic accesses, so the checker gets a scheduling
-      // point between them — the exact window the argument is about.
+      // Skipped? gap ≥ rank alone does not say so: between our first
+      // look and the gap load the producer may have *filled* the cell
+      // for our rank and then, on a later lap, announced a gap for a
+      // later rank here (paper's line-29 discussion). So the rank is
+      // re-checked after the gap load. The two loads are distinct atomic
+      // accesses, so the checker gets a scheduling point between them —
+      // the exact window the argument is about.
+      FFQ_CHECK_YIELD();  // line-29 window
       if (c.gap().load(std::memory_order_acquire) >= rank) {
-        FFQ_CHECK_YIELD();  // line-29 window
-        if (c.rank().load(std::memory_order_acquire) != rank) {
+        if (FFQ_CHECK_MUTANT(skip_line29_recheck) ||
+            c.rank().load(std::memory_order_acquire) != rank) {
           obs_.on_skip(rank);
           obs_.on_backoff_pauses(pauses);
           return rank_state::skipped;
@@ -338,6 +347,7 @@ class ring {
         obs_.on_backoff_pauses(pauses);
         pauses = 0;
       }
+      FFQ_CHECK_SPIN();
       backoff.pause();
     }
   }

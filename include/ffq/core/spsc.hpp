@@ -113,12 +113,15 @@ class spsc_queue
         if (++taken < max_n) it0 = obs_.now();
         continue;
       }
-      // The gap load and the rank re-check are distinct atomic accesses;
-      // the paper's line-29 argument is exactly about what may happen
-      // between them, so the checker gets a scheduling point there.
+      // The rank load above and the gap load are distinct atomic
+      // accesses; the paper's line-29 argument is exactly about what may
+      // happen between them (the producer publishes h, then skips this
+      // cell on a later lap), so the checker gets a scheduling point
+      // there and the rank is re-checked after the gap load.
+      FFQ_CHECK_YIELD();  // line-29 window
       if (c.gap().load(std::memory_order_acquire) >= h) {
-        FFQ_CHECK_YIELD();  // line-29 window: producer may publish h here
-        if (c.rank().load(std::memory_order_acquire) != h) {
+        if (FFQ_CHECK_MUTANT(skip_line29_recheck) ||
+            c.rank().load(std::memory_order_acquire) != h) {
           obs_.on_skip(h);
           ++h;  // our rank was skipped; advance past the gap
         }
@@ -152,6 +155,7 @@ class spsc_queue
         obs_.on_backoff_pauses(pauses);
         pauses = 0;
       }
+      FFQ_CHECK_SPIN();
       backoff.pause();
     }
   }

@@ -51,10 +51,10 @@
 // (fabric_observer: steals / empty polls / drain batches as counters,
 // shard_steal / empty_sweep as trace instants) sits on top of every
 // shard's own queue_observer, and FFQ_CHECK_YIELD points in the scheduler
-// let the deterministic checker interleave scheduling decisions (model
-// machine: model/shard_sched.hpp). Under the off observer the layout is
-// byte-identical to the uninstrumented fabric (mirror static_asserts in
-// tests/test_shard.cpp).
+// let the deterministic checker interleave scheduling decisions (the
+// delay-bounded DFS runs this scheduler itself). Under the off observer
+// the layout is byte-identical to the uninstrumented fabric (mirror
+// static_asserts in tests/test_shard.cpp).
 #pragma once
 
 #include <algorithm>
@@ -271,6 +271,7 @@ class fabric {
           // close observation: one more sweep decides.
           return try_dequeue(out);
         }
+        FFQ_CHECK_SPIN();
         backoff.pause();
       }
     }
@@ -285,6 +286,7 @@ class fabric {
         const std::size_t n = try_dequeue_bulk(out, max_n);
         if (n > 0) return n;
         if (fab_->closed()) return try_dequeue_bulk(out, max_n);
+        FFQ_CHECK_SPIN();
         backoff.pause();
       }
     }

@@ -1,8 +1,8 @@
 // validate.hpp — offline trace validation: a second correctness oracle.
 //
-// The model checker (src/model) proves the *algorithms* correct over
-// exhaustive small interleavings; the trace validator checks that a
-// *real execution* of the real code respected the queue contract, by
+// The delay-bounded DFS (ffq/check) checks the queues over exhaustive
+// small schedule sets; the trace validator checks that a *real
+// execution* of the real code respected the queue contract, by
 // replaying a merged event timeline:
 //
 //   * per-producer FIFO — within one (thread, queue), published ranks

@@ -13,10 +13,13 @@ namespace {
 
 struct task_state {
   ucontext_t ctx{};
-  std::vector<char> stack;
+  // Not zero-filled: the exploring drivers build thousands of schedulers,
+  // and a recycled heap block spares each one its page faults.
+  std::unique_ptr<char[]> stack;
   std::function<void()> fn;
   bool started = false;
   bool finished = false;
+  bool waiting = false;  // last yield ended a spin-wait round
 };
 
 constexpr std::size_t kStackBytes = 64 * 1024;
@@ -49,11 +52,11 @@ coop_sched::~coop_sched() = default;
 
 int coop_sched::spawn(std::function<void()> fn) {
   auto t = std::make_unique<task_state>();
-  t->stack.resize(kStackBytes);
+  t->stack.reset(new char[kStackBytes]);
   t->fn = std::move(fn);
   getcontext(&t->ctx);
-  t->ctx.uc_stack.ss_sp = t->stack.data();
-  t->ctx.uc_stack.ss_size = t->stack.size();
+  t->ctx.uc_stack.ss_sp = t->stack.get();
+  t->ctx.uc_stack.ss_size = kStackBytes;
   t->ctx.uc_link = nullptr;  // termination handled by the trampoline
   makecontext(&t->ctx, reinterpret_cast<void (*)()>(&impl::trampoline), 0);
   impl_->tasks.push_back(std::move(t));
@@ -70,6 +73,7 @@ bool coop_sched::step(int t) {
   impl::active = impl_.get();
   impl_->current = task;
   task->started = true;
+  tl_spinning = false;  // a mark left outside any task is not this task's
   ++steps_;
   {
     // Route FFQ_CHECK_YIELD() in the resumed code back to this driver.
@@ -84,6 +88,11 @@ bool coop_sched::step(int t) {
 bool coop_sched::done(int t) const {
   if (t < 0 || static_cast<std::size_t>(t) >= impl_->tasks.size()) return true;
   return impl_->tasks[static_cast<std::size_t>(t)]->finished;
+}
+
+bool coop_sched::waiting(int t) const {
+  if (t < 0 || static_cast<std::size_t>(t) >= impl_->tasks.size()) return false;
+  return impl_->tasks[static_cast<std::size_t>(t)]->waiting;
 }
 
 bool coop_sched::all_done() const {
@@ -107,6 +116,8 @@ void coop_sched::yield() {
   impl* self = impl::active;
   if (self == nullptr || self->current == nullptr) return;  // not in a task
   task_state* t = self->current;
+  t->waiting = tl_spinning;
+  tl_spinning = false;
   swapcontext(&t->ctx, &self->driver_ctx);
 }
 

@@ -1,9 +1,9 @@
 // Tests for ffq::check — the cooperative scheduler (determinism, yield
 // hooks), the schedule codec, the three oracles (conservation,
-// per-producer FIFO, Wing–Gong linearizability), preemption-bounded DFS
-// over the model machines (clean passes and mutation catches with
-// replayable witnesses), and seeded fuzzing of the real queues under the
-// FFQ_CHECK_YIELD() instrumentation.
+// per-producer FIFO, Wing–Gong linearizability), and the explorations of
+// the real queues under the FFQ_CHECK_YIELD() instrumentation: the
+// delay-bounded DFS (clean passes, the six mutation catches with
+// replayable witnesses, its own mechanics), seeded fuzzing and replay.
 //
 // FFQ_CHECK is defined before any include so the queues in this TU carry
 // live yield points in every preset, not just `check`. The mirror-struct
@@ -21,6 +21,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -28,16 +29,12 @@
 #include "ffq/core/spmc.hpp"
 #include "ffq/core/spsc.hpp"
 #include "ffq/core/waitable.hpp"
-#include "ffq/model/ffq_alg1.hpp"
-#include "ffq/model/ffq_alg2.hpp"
-#include "ffq/model/shard_sched.hpp"
 #include "ffq/runtime/aligned_buffer.hpp"
 #include "ffq/runtime/cacheline.hpp"
 #include "ffq/runtime/eventcount.hpp"
 #include "ffq/shard/shard.hpp"
 
 namespace chk = ffq::check;
-namespace model = ffq::model;
 
 namespace {
 
@@ -116,45 +113,6 @@ static_assert(alignof(q_spsc) == alignof(mirror::spsc));
 static_assert(alignof(q_spmc) == alignof(mirror::spmc));
 static_assert(alignof(q_mpmc) == alignof(mirror::mpmc));
 static_assert(alignof(q_wait) == alignof(mirror::waitable));
-
-// Model shapes shared with tools/check_explore.cpp (kept tiny so DFS
-// bound 2 finishes in milliseconds).
-model::world make_spsc_model(model::consumer_mutation cmut =
-                                 model::consumer_mutation::none) {
-  model::world w(2, 3);
-  w.producer_ranges_ = {{1, 3}};
-  w.threads_.push_back(std::make_unique<model::alg1_producer>(
-      1, 3, model::producer_mutation::none));
-  w.threads_.push_back(std::make_unique<model::alg1_consumer>(3, cmut));
-  return w;
-}
-
-model::world make_spmc_model(model::consumer_mutation cmut =
-                                 model::consumer_mutation::none) {
-  model::world w(2, 4);
-  w.producer_ranges_ = {{1, 4}};
-  w.threads_.push_back(std::make_unique<model::alg1_producer>(
-      1, 4, model::producer_mutation::none));
-  w.threads_.push_back(std::make_unique<model::alg1_consumer>(2, cmut));
-  w.threads_.push_back(std::make_unique<model::alg1_consumer>(2, cmut));
-  return w;
-}
-
-/// The shard-scheduler shape check_explore uses for --model shard: two
-/// shards (one wraps its ring, one runs short so steals happen), two
-/// scheduler consumers starting on opposite cursors.
-model::world make_shard_model(model::consumer_mutation cmut =
-                                  model::consumer_mutation::none) {
-  model::world w = model::world::sharded(2, 2, 6);
-  w.producer_ranges_ = {{1, 4}, {5, 6}};
-  w.threads_.push_back(std::make_unique<model::shard_producer>(
-      0, 1, 4, model::producer_mutation::none));
-  w.threads_.push_back(std::make_unique<model::shard_producer>(
-      1, 5, 2, model::producer_mutation::none));
-  w.threads_.push_back(std::make_unique<model::shard_consumer>(0, 3, 2, cmut));
-  w.threads_.push_back(std::make_unique<model::shard_consumer>(1, 3, 2, cmut));
-  return w;
-}
 
 }  // namespace
 
@@ -313,81 +271,386 @@ TEST(CheckOracles, LinearizabilityRejectsDequeueBeforeAnyEnqueue) {
 }
 
 // ---------------------------------------------------------------------------
-// Model exploration: clean DFS passes, mutation catches, witness replay.
+// Delay-bounded DFS over the real queues: clean shapes pass, each of the
+// six mutations (yield.hpp) is caught with a witness that replays, and the
+// search's own mechanics. The suite names ModelAlg1, ModelAlg1Bulk,
+// ModelAlg2 and ModelChecker keep the verdicts of the hand-written model
+// machines this checker replaced; every test now runs the shipped code.
 // ---------------------------------------------------------------------------
 
-TEST(CheckExplore, CleanSpscModelPassesExhaustiveBound2) {
-  const auto r = chk::dfs_explore(make_spsc_model(), {});
-  EXPECT_TRUE(r.ok) << r.violation;
+namespace {
+
+using q_shard = ffq::shard::fabric<long long, false, ffq::core::layout_compact,
+                                   obs_off>;
+using q_shard_ord =
+    ffq::shard::fabric<long long, true, ffq::core::layout_compact, obs_off>;
+
+// A deadlock surfaces as a liveness violation at the step bound; passing
+// runs of these shapes take a few hundred steps.
+constexpr std::uint64_t kMaxSteps = 5'000;
+
+/// `producers` x `items` over `cells` cells; `consumers` blocking
+/// consumers (dequeue / dequeue_bulk) that each take `quota` items.
+chk::program_config blocking(std::size_t cells, int producers, int items,
+                             int consumers, int quota,
+                             chk::mutation m = chk::mutation::none) {
+  return {.capacity = cells, .producers = producers, .consumers = consumers,
+          .items_per_producer = items, .consumer_quota = quota, .mutate = m,
+          .max_steps = kMaxSteps};
+}
+
+/// The same program with polling consumers (try_* until closed).
+chk::program_config polling(std::size_t cells, int producers, int items,
+                            int consumers,
+                            chk::mutation m = chk::mutation::none) {
+  return {.capacity = cells, .producers = producers, .consumers = consumers,
+          .items_per_producer = items, .mutate = m, .max_steps = kMaxSteps};
+}
+
+chk::program_config batched(chk::program_config cfg, int enqueue_batch,
+                            int dequeue_batch) {
+  cfg.enqueue_batch = enqueue_batch;
+  cfg.dequeue_batch = dequeue_batch;
+  return cfg;
+}
+
+/// The fabric shapes: 2 producers, 2 polling consumers draining in
+/// batches of 2; a fabric is not one FIFO, so no linearizability.
+chk::program_config fabric_shape(std::size_t cells, int items,
+                                 chk::mutation m = chk::mutation::none) {
+  chk::program_config cfg = batched(polling(cells, 2, items, 2, m), 0, 2);
+  cfg.check_linearizability = false;
+  return cfg;
+}
+
+/// Every schedule within `bound` delays passes.
+template <typename Queue>
+void expect_clean(const chk::program_config& cfg, int bound = 2) {
+  const auto r = chk::dfs_queue<Queue>(cfg, {.bound = bound});
+  EXPECT_TRUE(r.ok) << r.failure.violation
+                    << "\nschedule: " << chk::format_schedule(r.failure.sched);
   EXPECT_TRUE(r.exhausted);
-  EXPECT_GT(r.terminals, 0u);
+  EXPECT_GT(r.runs, 1u);
+  ::testing::Test::RecordProperty("runs", std::to_string(r.runs));
+}
+
+/// The DFS finds a violation of `oracle` within `bound` delays, and its
+/// witness, through the schedule codec (the CLI workflow), replays to the
+/// identical violation. Returns the witness.
+template <typename Queue>
+chk::schedule expect_caught(const chk::program_config& cfg, int bound,
+                            const std::string& oracle) {
+  const auto r = chk::dfs_queue<Queue>(cfg, {.bound = bound});
+  ::testing::Test::RecordProperty("runs", std::to_string(r.runs));
+  EXPECT_FALSE(r.ok) << "not caught in " << r.runs << " runs";
+  if (r.ok) return {};
+  EXPECT_EQ(r.failure.violation.rfind(oracle + ":", 0), 0u)
+      << r.failure.violation;
+  const auto parsed =
+      chk::parse_schedule(chk::format_schedule(r.failure.sched));
+  EXPECT_TRUE(parsed.has_value());
+  if (!parsed) return {};
+  const auto replay = chk::replay_queue<Queue>(cfg, *parsed);
+  EXPECT_FALSE(replay.ok);
+  EXPECT_EQ(replay.violation, r.failure.violation);
+  return *parsed;
+}
+
+using chk::mutation;
+
+}  // namespace
+
+// Algorithm 1 (FFQ^s) with blocking consumers: claim_run<true> and
+// resolve_rank, two cells so the producer wraps and announces gaps.
+
+TEST(ModelAlg1, SingleConsumerVerifies) {
+  expect_clean<q_spmc>(blocking(2, 1, 3, 1, 3));
+}
+
+TEST(ModelAlg1, TwoConsumersVerify) {
+  expect_clean<q_spmc>(blocking(2, 1, 4, 2, 2));
+}
+
+TEST(ModelAlg1, TwoConsumersLargerRingVerifies) {
+  expect_clean<q_spmc>(blocking(4, 1, 4, 2, 2));
+}
+
+TEST(ModelAlg1, ThreeConsumersVerify) {
+  expect_clean<q_spmc>(blocking(2, 1, 3, 3, 1));
+}
+
+TEST(ModelAlg1, PublishBeforeDataIsCaught) {
+  // Swapping lines 16/17 lets a consumer take a cell whose data was
+  // never written: it hands out a value nobody enqueued.
+  expect_caught<q_spmc>(
+      blocking(2, 1, 4, 2, 2, mutation::publish_before_data), 2,
+      "conservation");
+}
+
+TEST(ModelAlg1, SkippingLine29RecheckIsCaught) {
+  // Without the rank re-check after gap ≥ rank, a consumer abandons a
+  // rank whose item the producer published between its rank and gap
+  // loads; the item is lost.
+  expect_caught<q_spmc>(
+      blocking(2, 1, 4, 2, 2, mutation::skip_line29_recheck), 2,
+      "conservation");
+}
+
+// Batched operations (DESIGN.md §5.8): enqueue_bulk defers the tail store
+// to the batch end, dequeue_bulk claims a run of ranks with one
+// fetch-and-add; Alg. 1's cell protocol must carry over unchanged.
+
+TEST(ModelAlg1Bulk, BulkProducerWithScalarConsumersVerifies) {
+  expect_clean<q_spmc>(batched(blocking(2, 1, 4, 2, 2), 2, 0));
+}
+
+TEST(ModelAlg1Bulk, BulkProducerWithBulkConsumerVerifies) {
+  expect_clean<q_spmc>(batched(blocking(2, 1, 4, 1, 4), 2, 2));
+}
+
+TEST(ModelAlg1Bulk, TwoBulkConsumersVerify) {
+  // Two run claims race on head, and runs land on gap ranks.
+  expect_clean<q_spmc>(batched(blocking(2, 1, 4, 2, 2), 2, 2));
+}
+
+TEST(ModelAlg1Bulk, PublishBeforeDataInBulkIsCaught) {
+  // The line 16/17 order is per cell: a deferred tail store gives no
+  // licence to publish a rank before its data.
+  expect_caught<q_spmc>(
+      batched(blocking(2, 1, 4, 2, 2, mutation::publish_before_data), 2, 0),
+      2, "conservation");
+}
+
+TEST(ModelAlg1Bulk, SkippingRecheckInsideClaimedRunIsCaught) {
+  // A blocking run claim can own a rank not yet produced; dropping it on
+  // gap ≥ rank alone loses the item exactly as the scalar path does.
+  expect_caught<q_spmc>(
+      batched(blocking(2, 1, 4, 2, 2, mutation::skip_line29_recheck), 2, 2),
+      2, "conservation");
+}
+
+// Algorithm 2 (FFQ^m): two producers race for cells with the -2
+// reservation and the (rank, gap) DWCAS.
+
+TEST(ModelAlg2, TwoProducersOneConsumerVerifies) {
+  expect_clean<q_mpmc>(blocking(2, 2, 2, 1, 4));
+}
+
+TEST(ModelAlg2, TwoProducersTwoConsumersVerify) {
+  expect_clean<q_mpmc>(blocking(2, 2, 2, 2, 2));
+}
+
+TEST(ModelAlg2, SingleCellRingVerifies) {
+  // The smallest ring the queue accepts (two cells) under three items per
+  // producer: ranks collide on every cell, again and again.
+  expect_clean<q_mpmc>(blocking(2, 2, 3, 1, 6));
+}
+
+TEST(ModelAlg2, DirectPublishWithoutReserveIsCaught) {
+  // Claiming a cell by writing its rank at once, with no -2 reservation,
+  // publishes the cell before its data exists.
+  expect_caught<q_mpmc>(
+      blocking(2, 2, 2, 2, 2, mutation::claim_publishes_directly), 2,
+      "conservation");
+}
+
+TEST(ModelAlg2, GapIgnoringRankIsCaught) {
+  // The "enqueue in the past" race of §III-B: a gap installed without
+  // validating the rank lets a producer deposit an item at a rank the
+  // consumer already skipped. It takes three delays.
+  expect_caught<q_mpmc>(blocking(2, 2, 2, 1, 4, mutation::gap_ignores_rank),
+                        3, "conservation");
+}
+
+TEST(ModelAlg2, ClaimIgnoringGapIsCaught) {
+  // A claim that validates only rank == -1 slips under a gap announced
+  // for our rank; the item lands in the past.
+  expect_caught<q_mpmc>(blocking(2, 2, 2, 1, 4, mutation::claim_ignores_gap),
+                        2, "conservation");
+}
+
+TEST(ModelAlg2, ThrottleDeadlockRegressionIsCaught) {
+  // The full-ring throttle waiting at a cell that holds a LATER rank:
+  // the consumer parked on our rank and we wait for each other forever.
+  expect_caught<q_mpmc>(
+      blocking(2, 2, 2, 1, 4, mutation::throttle_ignores_rank_order), 2,
+      "liveness");
+}
+
+// Clean shapes of every queue, with the consumers check_explore uses.
+
+TEST(CheckExplore, CleanSpscModelPassesExhaustiveBound2) {
+  expect_clean<q_spsc>(polling(4, 1, 6, 1));           // take
+  expect_clean<q_spsc>(blocking(2, 1, 4, 1, 4));       // wait_take
+  expect_clean<q_wait>(polling(4, 1, 6, 1));
 }
 
 TEST(CheckExplore, CleanSpmcModelPassesExhaustiveBound2) {
-  const auto r = chk::dfs_explore(make_spmc_model(), {});
-  EXPECT_TRUE(r.ok) << r.violation;
-  EXPECT_TRUE(r.exhausted);
-  EXPECT_GT(r.terminals, 0u);
+  expect_clean<q_spmc>(polling(4, 1, 6, 2));             // try_dequeue
+  expect_clean<q_spmc>(batched(polling(4, 1, 6, 2), 0, 2));  // try_dequeue_bulk
 }
 
-TEST(CheckExplore, InjectedLine29BugIsCaughtWithReplayableWitness) {
-  // The paper's line-29 re-check omitted: a consumer skips a rank the
-  // producer already published. DFS must find it within preemption bound
-  // 2 and hand back a schedule that reproduces it exactly.
-  const auto w =
-      make_spmc_model(model::consumer_mutation::skip_line29_recheck);
-  const auto r = chk::dfs_explore(w, {});
-  ASSERT_FALSE(r.ok);
-  EXPECT_NE(r.violation.find("gap-accounting"), std::string::npos)
-      << r.violation;
-  ASSERT_FALSE(r.witness.picks.empty());
-
-  // The witness string round-trips through the codec and replays to the
-  // same violation — this is the workflow a human uses from the CLI.
-  const auto parsed =
-      chk::parse_schedule(chk::format_schedule(r.witness));
-  ASSERT_TRUE(parsed.has_value());
-  const auto replay = chk::replay_model(w, *parsed);
-  ASSERT_FALSE(replay.ok);
-  EXPECT_EQ(replay.violation, r.violation);
-
-  // The same schedule on the *unmutated* model trips no safety monitor:
-  // the witness pins the bug, not the schedule shape. (The witness is
-  // truncated at the violating edge, so on the clean model the only
-  // acceptable complaint is that the schedule ends early.)
-  const auto clean = chk::replay_model(make_spmc_model(), *parsed);
-  EXPECT_EQ(clean.violation.find("safety"), std::string::npos)
-      << clean.violation;
+TEST(CheckExplore, CleanMpmcPassesExhaustiveBound2) {
+  expect_clean<q_mpmc>(polling(4, 2, 4, 2));
 }
 
 TEST(CheckExplore, CleanShardSchedulerModelPassesExhaustiveBound2) {
-  const auto r = chk::dfs_explore(make_shard_model(), {});
-  EXPECT_TRUE(r.ok) << r.violation;
-  EXPECT_TRUE(r.exhausted);
-  EXPECT_GT(r.terminals, 0u);
+  expect_clean<q_shard>(fabric_shape(4, 4));
+  expect_clean<q_shard_ord>(fabric_shape(4, 4));
 }
 
-// Differential masking claim (model/shard_sched.hpp): the scheduler's
-// tail-bounded claims decide every rank before it is claimed, so the
-// line-29 consumer race — which the scalar SPMC model catches above —
-// is unreachable through the fabric's bulk drain. The pair of results
-// (flagged scalar, clean scheduler) is the machine-checked statement.
+// The fabric-level stall: 2-cell shards under five items per producer, so
+// one producer can finish while the other waits in its full-ring throttle.
+TEST(CheckExplore, FabricStallShapeIsCleanAtBound2) {
+  expect_clean<q_shard>(fabric_shape(2, 5));
+}
+
+TEST(CheckExplore, InjectedLine29BugIsCaughtWithReplayableWitness) {
+  const auto cfg = blocking(2, 1, 4, 2, 2, mutation::skip_line29_recheck);
+  const chk::schedule witness = expect_caught<q_spmc>(cfg, 2, "conservation");
+  ASSERT_FALSE(witness.picks.empty());
+  // The same schedule on the real code trips no oracle: the witness pins
+  // the bug, not the schedule shape. (Once the runs part ways the schedule
+  // may name a finished task or end early; only that may be reported.)
+  auto clean_cfg = cfg;
+  clean_cfg.mutate = mutation::none;
+  const auto clean = chk::replay_queue<q_spmc>(clean_cfg, witness);
+  EXPECT_TRUE(clean.ok || clean.violation.rfind("replay:", 0) == 0 ||
+              clean.violation.rfind("schedule:", 0) == 0)
+      << clean.violation;
+}
+
+// The masking pair: claims bounded by the published tail (the polling
+// try paths and the fabric scheduler built on them) only claim decided
+// ranks, so the line-29 race the blocking scalar path has is unreachable
+// through them.
 TEST(CheckExplore, ShardSchedulerMasksTheLine29RaceTheScalarPathHas) {
-  const auto scalar = chk::dfs_explore(
-      make_spmc_model(model::consumer_mutation::skip_line29_recheck), {});
-  ASSERT_FALSE(scalar.ok);
-  const auto sched = chk::dfs_explore(
-      make_shard_model(model::consumer_mutation::skip_line29_recheck), {});
-  EXPECT_TRUE(sched.ok) << sched.violation;
-  EXPECT_TRUE(sched.exhausted);
+  const auto m = mutation::skip_line29_recheck;
+  expect_caught<q_spmc>(blocking(2, 1, 4, 2, 2, m), 2, "conservation");
+  expect_clean<q_spmc>(batched(polling(2, 1, 4, 2, m), 0, 2));
+  expect_clean<q_shard>(fabric_shape(4, 4, m));
 }
 
 TEST(CheckExplore, ModelFuzzPassesAndIsSeedDeterministic) {
-  const auto a = chk::fuzz_model(make_spmc_model(), 7, 300);
-  EXPECT_TRUE(a.ok) << a.violation;
-  const auto b = chk::fuzz_model(make_spmc_model(), 7, 300);
-  EXPECT_EQ(a.states, b.states);
-  EXPECT_EQ(a.terminals, b.terminals);
+  const auto cfg = blocking(2, 1, 4, 2, 2);
+  const auto r = chk::fuzz_queue<q_spmc>(cfg, 7, 300);
+  EXPECT_TRUE(r.ok) << r.failure.violation;
+  EXPECT_EQ(r.runs, 300u);
+  chk::random_driver d1(7), d2(7);
+  const auto a = chk::run_program<q_spmc>(cfg, d1);
+  const auto b = chk::run_program<q_spmc>(cfg, d2);
+  EXPECT_EQ(a.sched, b.sched);
+  EXPECT_EQ(a.streams, b.streams);
+}
+
+// The search itself.
+
+TEST(ModelChecker, ReportsInexhaustiveOnTinyBudget) {
+  const auto r = chk::dfs_queue<q_spmc>(blocking(2, 1, 4, 2, 2),
+                                        {.bound = 2, .max_runs = 5});
+  EXPECT_TRUE(r.ok) << r.failure.violation;
+  EXPECT_FALSE(r.exhausted);
+  EXPECT_EQ(r.runs, 5u);
+}
+
+// No schedule is run twice: every run of the search takes a schedule of
+// its own (the stateless counterpart of telling states apart).
+TEST(ModelChecker, WorldEncodingDistinguishesStates) {
+  const auto cfg = blocking(2, 1, 4, 2, 2);
+  chk::delay_dfs_driver d(2);
+  std::set<std::string> seen;
+  std::uint64_t runs = 0;
+  do {
+    const auto r = chk::run_program<q_spmc>(cfg, d);
+    ASSERT_TRUE(r.ok) << r.violation;
+    seen.insert(chk::format_schedule(r.sched));
+    ++runs;
+  } while (d.next());
+  EXPECT_EQ(seen.size(), runs);
+  EXPECT_EQ(chk::dfs_queue<q_spmc>(cfg, {.bound = 2}).runs, runs);
+}
+
+namespace {
+
+/// A broken queue: hands the first item it dequeues out twice.
+struct duplicating_queue : q_spsc {
+  using q_spsc::q_spsc;
+  bool try_dequeue(long long& v) noexcept {
+    if (again_) {
+      again_ = false;
+      v = first_;
+      return true;
+    }
+    if (!q_spsc::try_dequeue(v)) return false;
+    if (!duplicated_) {
+      duplicated_ = again_ = true;
+      first_ = v;
+    }
+    return true;
+  }
+  bool again_ = false;
+  bool duplicated_ = false;
+  long long first_ = 0;
+};
+
+/// A broken queue: hands out one value nobody enqueued.
+struct inventing_queue : q_spsc {
+  using q_spsc::q_spsc;
+  bool try_dequeue(long long& v) noexcept {
+    if (!invented_) {
+      invented_ = true;
+      v = 7 * chk::kProducerStride;
+      return true;
+    }
+    return q_spsc::try_dequeue(v);
+  }
+  bool invented_ = false;
+};
+
+}  // namespace
+
+TEST(ModelChecker, DuplicateConsumeIsFlaggedByWorld) {
+  const auto r = chk::dfs_queue<duplicating_queue>(polling(4, 1, 3, 1),
+                                                   {.bound = 0});
+  ASSERT_FALSE(r.ok);
+  EXPECT_NE(r.failure.violation.find("duplicate"), std::string::npos)
+      << r.failure.violation;
+}
+
+TEST(ModelChecker, OutOfRangeConsumeIsFlagged) {
+  const auto r = chk::dfs_queue<inventing_queue>(polling(4, 1, 3, 1),
+                                                 {.bound = 0});
+  ASSERT_FALSE(r.ok);
+  EXPECT_NE(r.failure.violation.find("never enqueued"), std::string::npos)
+      << r.failure.violation;
+}
+
+TEST(CheckDfs, BoundZeroRunsExactlyOneSchedule) {
+  EXPECT_EQ(chk::dfs_queue<q_spmc>(blocking(2, 1, 4, 2, 2), {.bound = 0}).runs,
+            1u);
+  EXPECT_EQ(chk::dfs_queue<q_mpmc>(polling(4, 2, 4, 2), {.bound = 0}).runs, 1u);
+}
+
+TEST(CheckDfs, IdenticalCallsReportTheSameRunCount) {
+  const auto cfg = polling(4, 2, 4, 2);
+  const auto a = chk::dfs_queue<q_mpmc>(cfg, {.bound = 1});
+  const auto b = chk::dfs_queue<q_mpmc>(cfg, {.bound = 1});
+  EXPECT_TRUE(a.ok && b.ok);
+  EXPECT_GT(a.runs, 1u);
+  EXPECT_EQ(a.runs, b.runs);
+}
+
+// The default schedule keeps running a task until it finishes or ends a
+// spin-wait round, then moves round-robin to the next task; with no
+// delays to spend there is nothing to backtrack to.
+TEST(CheckDfs, DefaultScheduleKeepsATaskUntilItWaitsOrFinishes) {
+  chk::delay_dfs_driver d(0);
+  EXPECT_EQ(d.pick({0, 1, 2}, false), 0);
+  EXPECT_EQ(d.pick({0, 1, 2}, false), 0);  // continue the running task
+  EXPECT_EQ(d.pick({0, 1, 2}, true), 1);   // 0 spins: a free switch
+  EXPECT_EQ(d.pick({0, 2}, false), 2);     // 1 finished: round-robin on
+  EXPECT_EQ(d.pick({0, 2}, true), 0);      // wrap around
+  EXPECT_FALSE(d.next());
 }
 
 // ---------------------------------------------------------------------------
@@ -457,19 +720,14 @@ TEST(CheckQueues, FuzzShardFabricBothModesPass) {
 // A consumer may stop only after a try that began after the close: a
 // fabric try visits its shards one at a time, so under a rule that stopped
 // after any empty try that then saw the close, an item published during
-// the try was lost (this shape and seed reached it in run 1529).
+// the try was lost. The bound-3 search of the stall shape reaches that
+// schedule in run 6,450; its first 10,000 runs must stay clean.
 TEST(CheckQueues, FabricConsumersStopOnlyAfterATryThatFollowsTheClose) {
-  using q_shard = ffq::shard::fabric<long long, false, layout_aligned, obs_off>;
-  chk::program_config cfg;
-  cfg.capacity = 4;
-  cfg.producers = 2;
-  cfg.items_per_producer = 4;
-  cfg.consumers = 2;
-  cfg.dequeue_batch = 2;
-  cfg.check_linearizability = false;
-  const auto r = chk::fuzz_queue<q_shard>(cfg, 7, 2000);
+  const auto r = chk::dfs_queue<q_shard>(fabric_shape(2, 5),
+                                         {.bound = 3, .max_runs = 10'000});
   EXPECT_TRUE(r.ok) << r.failure.violation
                     << "\nschedule: " << chk::format_schedule(r.failure.sched);
+  EXPECT_EQ(r.runs, 10'000u);
 }
 
 // A non-blocking claim is bounded by the tail it read and never owns a

@@ -1,30 +1,30 @@
-// check_explore — drive ffq::check from the command line.
+// check_explore — drive ffq::check over the real queues from the command
+// line.
 //
-// Model substrate (clonable state machines; supports exhaustive DFS):
-//   check_explore --model spsc --bound 2          exhaustive, preemption<=2
-//   check_explore --model spmc --fuzz 5000        seeded random schedules
-//   check_explore --model spmc --mutate skip_line29_recheck --fuzz 5000
-//   check_explore --model spmc --mutate skip_line29_recheck --replay 0.1*3.0
-//
-// Real queues (FFQ_CHECK_YIELD instrumentation; random + replay drivers):
+//   check_explore --queue spmc --bound 2           every schedule, <= 2 delays
 //   check_explore --queue all --fuzz 10000 --seed 1
-//   check_explore --queue mpmc --replay '2*14.0.2*3.1*7'
+//   check_explore --queue spmc_blocking --mutate skip_line29_recheck --bound 2
+//   check_explore --queue spmc_blocking --mutate skip_line29_recheck
+//                 --replay '2*14.0.2*3.1*7'
+//
+// Each queue name is one fixed program shape (queue type, capacity,
+// producers x items, consumer kind), so a printed schedule replays against
+// an identical program. --bound and --fuzz may be combined; --replay runs
+// one schedule. --mutate switches one safeguard off in the queue code
+// (ffq/check/yield.hpp) for every run.
 //
 // Exit codes: 0 = every explored schedule passed; 1 = an oracle was
 // violated (the offending schedule string is printed for --replay);
-// 2 = usage error. The program shapes are fixed per target name so a
-// printed schedule replays against an identical program.
+// 2 = usage error, or a DFS that hit its run cap before finishing.
 #ifndef FFQ_CHECK
 #define FFQ_CHECK 1  // instrument the queue headers in this TU
 #endif
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <memory>
 #include <optional>
-#include <stdexcept>
 #include <string>
 
 #include "ffq/check/check.hpp"
@@ -32,164 +32,86 @@
 #include "ffq/core/spmc.hpp"
 #include "ffq/core/spsc.hpp"
 #include "ffq/core/waitable.hpp"
-#include "ffq/model/ffq_alg1.hpp"
-#include "ffq/model/ffq_alg2.hpp"
-#include "ffq/model/shard_sched.hpp"
 #include "ffq/shard/shard.hpp"
 
 namespace {
 
 using namespace ffq::check;
-namespace model = ffq::model;
 
-int usage() {
-  std::fprintf(stderr,
-               "usage: check_explore --model spsc|spmc|mpmc|shard [--bound N] "
-               "[--fuzz N] [--replay SCHED] [--mutate NAME] [--seed S]\n"
-               "       check_explore --queue "
-               "spsc|spmc|mpmc|waitable|shard|shard_ordered|all "
-               "--fuzz N [--replay SCHED] [--seed S]\n"
-               "mutations: publish_before_data skip_line29_recheck "
-               "claim_publishes_directly gap_ignores_rank claim_ignores_gap\n");
+constexpr const char* kUsage =
+    "usage: check_explore --queue NAME [--bound N] [--fuzz N] [--seed S]\n"
+    "                     [--mutate MUTATION]\n"
+    "       check_explore --queue NAME --replay SCHEDULE [--mutate MUTATION]\n"
+    "       check_explore --help\n"
+    "queues (polling consumers): spsc spmc mpmc waitable shard shard_ordered\n"
+    "       shard_stall\n"
+    "queues (blocking consumers): spsc_blocking spmc_blocking spmc_bulk\n"
+    "       mpmc_blocking\n"
+    "       all (every queue above; not with --replay)\n"
+    "mutations: publish_before_data skip_line29_recheck\n"
+    "       claim_publishes_directly gap_ignores_rank claim_ignores_gap\n"
+    "       throttle_ignores_rank_order\n";
+
+int usage_error() {
+  std::fputs(kUsage, stderr);
   return 2;
 }
 
-// ---- model programs (fixed shapes so schedules replay) -------------------
+struct request {
+  int bound = -1;
+  std::uint64_t fuzz = 0;
+  std::uint64_t seed = 1;
+  std::optional<schedule> replay;
+  mutation mutate = mutation::none;
+};
 
-/// SPSC shape: 1 producer x 3 items, 1 consumer, 2 cells (forces wraps).
-/// SPMC shape: 1 producer x 4 items, 2 consumers x quota 2, 2 cells.
-/// MPMC shape: 2 producers x 2 items, 2 consumers x quota 2, 2 cells.
-/// Shard shape: 2 shards x 2 items, 2 consumers x quota 2 batch 2,
-/// 2 cells per shard (exercises visit, steal, and the stale-head race).
-model::world make_model(const std::string& name, const std::string& mutate) {
-  auto pmut = model::producer_mutation::none;
-  auto cmut = model::consumer_mutation::none;
-  auto mmut = model::alg2_mutation::none;
-  if (mutate == "publish_before_data") {
-    pmut = model::producer_mutation::publish_before_data;
-  } else if (mutate == "skip_line29_recheck") {
-    cmut = model::consumer_mutation::skip_line29_recheck;
-  } else if (mutate == "claim_publishes_directly") {
-    mmut = model::alg2_mutation::claim_publishes_directly;
-  } else if (mutate == "gap_ignores_rank") {
-    mmut = model::alg2_mutation::gap_ignores_rank;
-  } else if (mutate == "claim_ignores_gap") {
-    mmut = model::alg2_mutation::claim_ignores_gap;
-  } else if (!mutate.empty()) {
-    throw std::invalid_argument("unknown mutation: " + mutate);
-  }
-
-  if (name == "spsc") {
-    model::world w(2, 3);
-    w.producer_ranges_ = {{1, 3}};
-    w.threads_.push_back(std::make_unique<model::alg1_producer>(1, 3, pmut));
-    w.threads_.push_back(std::make_unique<model::alg1_consumer>(3, cmut));
-    return w;
-  }
-  if (name == "spmc") {
-    model::world w(2, 4);
-    w.producer_ranges_ = {{1, 4}};
-    w.threads_.push_back(std::make_unique<model::alg1_producer>(1, 4, pmut));
-    w.threads_.push_back(std::make_unique<model::alg1_consumer>(2, cmut));
-    w.threads_.push_back(std::make_unique<model::alg1_consumer>(2, cmut));
-    return w;
-  }
-  if (name == "mpmc") {
-    model::world w(2, 4);
-    w.producer_ranges_ = {{1, 2}, {3, 4}};
-    w.threads_.push_back(std::make_unique<model::alg2_producer>(1, 2, mmut));
-    w.threads_.push_back(std::make_unique<model::alg2_producer>(3, 2, mmut));
-    w.threads_.push_back(std::make_unique<model::alg1_consumer>(2, cmut));
-    w.threads_.push_back(std::make_unique<model::alg1_consumer>(2, cmut));
-    return w;
-  }
-  if (name == "shard") {
-    model::world w = model::world::sharded(2, 2, 6);
-    w.producer_ranges_ = {{1, 4}, {5, 6}};
-    // Shard 0 wraps its 2 cells twice (gaps + the line-29 race are
-    // reachable); shard 1 is short so consumers cross shards and steal.
-    w.threads_.push_back(std::make_unique<model::shard_producer>(0, 1, 4, pmut));
-    w.threads_.push_back(std::make_unique<model::shard_producer>(1, 5, 2, pmut));
-    // Opposite start cursors so visits and steals both occur.
-    w.threads_.push_back(std::make_unique<model::shard_consumer>(0, 3, 2, cmut));
-    w.threads_.push_back(std::make_unique<model::shard_consumer>(1, 3, 2, cmut));
-    return w;
-  }
-  throw std::invalid_argument("unknown model: " + name);
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
 }
 
-int report_model(const explore_result& r, const char* what) {
-  if (r.ok) {
-    std::printf("check_explore: %s passed (%zu states, %zu terminals%s)\n",
-                what, r.states, r.terminals,
-                r.exhausted ? "" : ", state bound hit");
-    return r.exhausted ? 0 : 2;
-  }
-  std::printf("check_explore: VIOLATION (%s)\n  %s\n  schedule: %s\n", what,
-              r.violation.c_str(), format_schedule(r.witness).c_str());
-  return 1;
-}
-
-// ---- real-queue programs (fixed shapes so schedules replay) --------------
-
-/// One program shape per queue name, small enough for the Wing-Gong
-/// bound: spsc/waitable 1x6 items 1 consumer; spmc 1x6, 2 consumers;
-/// mpmc 2x4, 2 consumers.
-program_config queue_config(const std::string& name) {
-  program_config cfg;
-  cfg.capacity = 4;
-  if (name == "mpmc") {
-    cfg.producers = 2;
-    cfg.items_per_producer = 4;
-    cfg.consumers = 2;
-  } else if (name == "shard" || name == "shard_ordered") {
-    cfg.producers = 2;  // one shard each, cfg.capacity cells per shard
-    cfg.items_per_producer = 4;
-    cfg.consumers = 2;
-    cfg.dequeue_batch = 2;  // exercise the scheduler's bulk drain
-    cfg.check_linearizability = false;  // sharded: not one FIFO by design
-  } else if (name == "spmc") {
-    cfg.producers = 1;
-    cfg.items_per_producer = 6;
-    cfg.consumers = 2;
-  } else {  // spsc, waitable: single consumer by contract
-    cfg.producers = 1;
-    cfg.items_per_producer = 6;
-    cfg.consumers = 1;
-  }
-  return cfg;
-}
-
-template <typename Queue>
-int fuzz_one_queue(const std::string& name, std::uint64_t seed,
-                   std::uint64_t runs) {
-  const program_config cfg = queue_config(name);
-  const fuzz_result r = fuzz_queue<Queue>(cfg, seed, runs);
-  if (r.ok) {
-    std::printf("check_explore: queue %s passed %llu schedules (seed %llu)\n",
-                name.c_str(), static_cast<unsigned long long>(r.runs),
-                static_cast<unsigned long long>(seed));
-    return 0;
-  }
-  std::printf(
-      "check_explore: VIOLATION (queue %s, run %llu)\n  %s\n  schedule: %s\n",
-      name.c_str(), static_cast<unsigned long long>(r.runs - 1),
-      r.failure.violation.c_str(), format_schedule(r.failure.sched).c_str());
+int report_violation(const std::string& what, const run_result& r) {
+  std::printf("check_explore: VIOLATION (%s)\n  %s\n  schedule: %s\n",
+              what.c_str(), r.violation.c_str(),
+              format_schedule(r.sched).c_str());
   return 1;
 }
 
 template <typename Queue>
-int replay_one_queue(const std::string& name, const schedule& s) {
-  const run_result r = replay_queue<Queue>(queue_config(name), s);
-  if (r.ok) {
+int explore(const std::string& name, program_config cfg, const request& req) {
+  cfg.mutate = req.mutate;
+  if (req.replay) {
+    const run_result r = replay_queue<Queue>(cfg, *req.replay);
+    if (!r.ok) return report_violation("queue " + name + " replay", r);
     std::printf("check_explore: queue %s replay passed (%llu steps)\n",
                 name.c_str(), static_cast<unsigned long long>(r.steps));
     return 0;
   }
-  std::printf("check_explore: VIOLATION (queue %s replay)\n  %s\n  schedule: %s\n",
-              name.c_str(), r.violation.c_str(),
-              format_schedule(r.sched).c_str());
-  return 1;
+  if (req.bound >= 0) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const explore_result r = dfs_queue<Queue>(cfg, {.bound = req.bound});
+    const std::string what =
+        "queue " + name + " DFS bound " + std::to_string(req.bound);
+    if (!r.ok) {
+      return report_violation(what + ", run " + std::to_string(r.runs), r.failure);
+    }
+    std::printf("check_explore: %s %s (%llu runs, %.2f s)\n", what.c_str(),
+                r.exhausted ? "passed" : "stopped at the run cap",
+                static_cast<unsigned long long>(r.runs), seconds_since(t0));
+    if (!r.exhausted) return 2;
+  }
+  if (req.fuzz > 0) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const explore_result r = fuzz_queue<Queue>(cfg, req.seed, req.fuzz);
+    if (!r.ok) {
+      return report_violation(
+          "queue " + name + ", run " + std::to_string(r.runs - 1), r.failure);
+    }
+    std::printf("check_explore: queue %s passed %llu schedules (seed %llu, %.2f s)\n",
+                name.c_str(), static_cast<unsigned long long>(r.runs),
+                static_cast<unsigned long long>(req.seed), seconds_since(t0));
+  }
+  return 0;
 }
 
 using q_spsc = ffq::core::spsc_queue<long long>;
@@ -199,116 +121,143 @@ using q_wait = ffq::core::waitable_spsc_queue<long long>;
 using q_shard = ffq::shard::fabric<long long, false>;
 using q_shard_ord = ffq::shard::fabric<long long, true>;
 
+// The step bound turns a deadlock into a liveness violation; passing runs
+// of these shapes take a few hundred steps (all pass under 1,000).
+constexpr std::uint64_t kMaxSteps = 5'000;
+
+/// Polling shapes stay small enough for the Wing-Gong bound; blocking
+/// shapes put two cells under each queue so wraps, gaps and full-ring
+/// throttles are reachable within a few delays.
+constexpr program_config kSpsc{.capacity = 4, .producers = 1, .consumers = 1,
+                               .items_per_producer = 6, .max_steps = kMaxSteps};
+constexpr program_config kSpmc{.capacity = 4, .producers = 1, .consumers = 2,
+                               .items_per_producer = 6, .max_steps = kMaxSteps};
+constexpr program_config kMpmc{.capacity = 4, .producers = 2, .consumers = 2,
+                               .items_per_producer = 4, .max_steps = kMaxSteps};
+constexpr program_config kShard{.capacity = 4, .producers = 2, .consumers = 2,
+                                .items_per_producer = 4, .dequeue_batch = 2,
+                                .max_steps = kMaxSteps,
+                                .check_linearizability = false};
+/// One producer finishes while the other is throttled on a full shard.
+constexpr program_config kShardStall{
+    .capacity = 2, .producers = 2, .consumers = 2, .items_per_producer = 5,
+    .dequeue_batch = 2, .max_steps = kMaxSteps, .check_linearizability = false};
+constexpr program_config kSpscBlocking{
+    .capacity = 2, .producers = 1, .consumers = 1, .items_per_producer = 4,
+    .consumer_quota = 4, .max_steps = kMaxSteps};
+constexpr program_config kSpmcBlocking{
+    .capacity = 2, .producers = 1, .consumers = 2, .items_per_producer = 4,
+    .consumer_quota = 2, .max_steps = kMaxSteps};
+constexpr program_config kSpmcBulk{
+    .capacity = 2, .producers = 1, .consumers = 2, .items_per_producer = 4,
+    .enqueue_batch = 2, .dequeue_batch = 2, .consumer_quota = 2,
+    .max_steps = kMaxSteps};
+constexpr program_config kMpmcBlocking{
+    .capacity = 2, .producers = 2, .consumers = 1, .items_per_producer = 2,
+    .consumer_quota = 4, .max_steps = kMaxSteps};
+
+/// Runs `req` on the queue called `name`, or on every queue for "all";
+/// -1 if no queue has that name.
+int run_named(const std::string& name, const request& req) {
+  const bool all = name == "all";
+  bool found = false;
+  int rc = 0;
+  auto run = [&]<typename Queue>(const char* n, const program_config& cfg) {
+    if (!all && name != n) return;
+    found = true;
+    const int r = explore<Queue>(n, cfg, req);
+    if (r == 1 || rc == 0) rc = r;  // a violation outranks a run cap
+  };
+  run.operator()<q_spsc>("spsc", kSpsc);
+  run.operator()<q_spmc>("spmc", kSpmc);
+  run.operator()<q_mpmc>("mpmc", kMpmc);
+  run.operator()<q_wait>("waitable", kSpsc);
+  run.operator()<q_shard>("shard", kShard);
+  run.operator()<q_shard_ord>("shard_ordered", kShard);
+  run.operator()<q_shard>("shard_stall", kShardStall);
+  run.operator()<q_spsc>("spsc_blocking", kSpscBlocking);
+  run.operator()<q_spmc>("spmc_blocking", kSpmcBlocking);
+  run.operator()<q_spmc>("spmc_bulk", kSpmcBulk);
+  run.operator()<q_mpmc>("mpmc_blocking", kMpmcBlocking);
+  return found ? rc : -1;
+}
+
+bool parse_count(const std::string& text, std::uint64_t& out) {
+  if (text.empty() || text.find_first_not_of("0123456789") != std::string::npos) {
+    return false;
+  }
+  out = std::strtoull(text.c_str(), nullptr, 10);
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string model_name, queue_name, mutate, replay_str;
-  int bound = -1;
-  std::uint64_t fuzz_runs = 0;
-  std::uint64_t seed = 1;
+  std::string queue_name;
+  request req;
 
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    std::string value;
-    const auto eq = arg.find('=');
-    if (eq != std::string::npos) {
+    if (arg == "--help" || arg == "-h") {
+      std::fputs(kUsage, stdout);
+      return 0;
+    }
+    std::optional<std::string> value;
+    if (const auto eq = arg.find('='); eq != std::string::npos) {
       value = arg.substr(eq + 1);
       arg.resize(eq);
-    } else if (i + 1 < argc && arg != "--help") {
-      value = argv[i + 1];
     }
-    auto take = [&]() {  // consume the separated value form
-      if (eq == std::string::npos) ++i;
-      return value;
-    };
-    if (arg == "--model") {
-      model_name = take();
-    } else if (arg == "--queue") {
-      queue_name = take();
+    if (arg != "--queue" && arg != "--mutate" && arg != "--replay" &&
+        arg != "--bound" && arg != "--fuzz" && arg != "--seed") {
+      std::fprintf(stderr, "check_explore: unknown flag '%s'\n", arg.c_str());
+      return usage_error();
+    }
+    if (!value && i + 1 < argc) value = argv[++i];
+    if (!value) {
+      std::fprintf(stderr, "check_explore: %s needs a value\n", arg.c_str());
+      return usage_error();
+    }
+    std::uint64_t n = 0;
+    if (arg == "--queue") {
+      queue_name = *value;
     } else if (arg == "--mutate") {
-      mutate = take();
+      const auto m = parse_mutation(*value);
+      if (!m) {
+        std::fprintf(stderr, "check_explore: unknown mutation '%s'\n",
+                     value->c_str());
+        return usage_error();
+      }
+      req.mutate = *m;
     } else if (arg == "--replay") {
-      replay_str = take();
-    } else if (arg == "--bound") {
-      bound = std::atoi(take().c_str());
-    } else if (arg == "--fuzz") {
-      fuzz_runs = std::strtoull(take().c_str(), nullptr, 10);
-    } else if (arg == "--seed") {
-      seed = std::strtoull(take().c_str(), nullptr, 10);
+      req.replay = parse_schedule(*value);
+      if (!req.replay) {
+        std::fprintf(stderr, "check_explore: malformed schedule '%s'\n",
+                     value->c_str());
+        return 2;
+      }
+    } else if (arg == "--bound" && parse_count(*value, n) && n <= 64) {
+      req.bound = static_cast<int>(n);
+    } else if (arg == "--fuzz" && parse_count(*value, n)) {
+      req.fuzz = n;
+    } else if (arg == "--seed" && parse_count(*value, n)) {
+      req.seed = n;
     } else {
-      return usage();
+      std::fprintf(stderr, "check_explore: bad value '%s' for %s\n",
+                   value->c_str(), arg.c_str());
+      return usage_error();
     }
   }
 
-  if (model_name.empty() == queue_name.empty()) return usage();  // exactly one
-
-  schedule replay_sched;
-  if (!replay_str.empty()) {
-    auto parsed = parse_schedule(replay_str);
-    if (!parsed) {
-      std::fprintf(stderr, "check_explore: malformed schedule '%s'\n",
-                   replay_str.c_str());
-      return 2;
-    }
-    replay_sched = std::move(*parsed);
+  const bool explores = req.bound >= 0 || req.fuzz > 0;
+  if (queue_name.empty() || explores == req.replay.has_value() ||
+      (req.replay && queue_name == "all")) {
+    return usage_error();
   }
-
-  if (!model_name.empty()) {
-    std::optional<model::world> w;
-    try {
-      w.emplace(make_model(model_name, mutate));
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "check_explore: %s\n", e.what());
-      return 2;
-    }
-    if (!replay_str.empty()) {
-      return report_model(replay_model(*w, replay_sched), "model replay");
-    }
-    int rc = 0;
-    if (bound >= 0) {
-      dfs_options opt;
-      opt.preemption_bound = bound;
-      const std::string what =
-          "model " + model_name + " DFS bound " + std::to_string(bound);
-      rc = report_model(dfs_explore(*w, opt), what.c_str());
-      if (rc != 0) return rc;
-    }
-    if (fuzz_runs > 0) {
-      const std::string what = "model " + model_name + " fuzz " +
-                               std::to_string(fuzz_runs) + " (seed " +
-                               std::to_string(seed) + ")";
-      rc = report_model(fuzz_model(*w, seed, fuzz_runs), what.c_str());
-    }
-    if (bound < 0 && fuzz_runs == 0) return usage();
-    return rc;
-  }
-
-  // Real-queue mode.
-  if (!mutate.empty() || bound >= 0) return usage();  // model-only options
-  if (!replay_str.empty()) {
-    if (queue_name == "spsc") return replay_one_queue<q_spsc>(queue_name, replay_sched);
-    if (queue_name == "spmc") return replay_one_queue<q_spmc>(queue_name, replay_sched);
-    if (queue_name == "mpmc") return replay_one_queue<q_mpmc>(queue_name, replay_sched);
-    if (queue_name == "waitable") return replay_one_queue<q_wait>(queue_name, replay_sched);
-    if (queue_name == "shard") return replay_one_queue<q_shard>(queue_name, replay_sched);
-    if (queue_name == "shard_ordered") return replay_one_queue<q_shard_ord>(queue_name, replay_sched);
-    return usage();
-  }
-  if (fuzz_runs == 0) return usage();
-  int rc = 0;
-  const bool all = queue_name == "all";
-  if (all || queue_name == "spsc") rc |= fuzz_one_queue<q_spsc>("spsc", seed, fuzz_runs);
-  if (all || queue_name == "spmc") rc |= fuzz_one_queue<q_spmc>("spmc", seed, fuzz_runs);
-  if (all || queue_name == "mpmc") rc |= fuzz_one_queue<q_mpmc>("mpmc", seed, fuzz_runs);
-  if (all || queue_name == "waitable") rc |= fuzz_one_queue<q_wait>("waitable", seed, fuzz_runs);
-  if (all || queue_name == "shard") rc |= fuzz_one_queue<q_shard>("shard", seed, fuzz_runs);
-  if (all || queue_name == "shard_ordered") {
-    rc |= fuzz_one_queue<q_shard_ord>("shard_ordered", seed, fuzz_runs);
-  }
-  if (!all && rc == 0 && queue_name != "spsc" && queue_name != "spmc" &&
-      queue_name != "mpmc" && queue_name != "waitable" &&
-      queue_name != "shard" && queue_name != "shard_ordered") {
-    return usage();
+  const int rc = run_named(queue_name, req);
+  if (rc < 0) {
+    std::fprintf(stderr, "check_explore: unknown queue '%s'\n",
+                 queue_name.c_str());
+    return usage_error();
   }
   return rc;
 }
