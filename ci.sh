@@ -36,6 +36,11 @@
 #            mutations must be caught at its bound, and its printed
 #            witness must reproduce the same violation under --replay.
 #            The leg prints the wall time of its check_explore steps.
+#            The two steps cover both cell layouts: check_explore runs
+#            each queue on its library default (packed spsc/spmc/waitable
+#            cells and fabric shards, dedicated-line mpmc cells), while
+#            the suite's tests/test_check.cpp pins layout_aligned for the
+#            core queues.
 #
 # Usage: ./ci.sh [options] [jobs]
 #   --leg NAME   run only this leg (repeatable, or comma-separated;

@@ -33,7 +33,9 @@ struct request {
 
 double run_service(int fibers, std::uint64_t calls_per_fiber,
                    double syscall_ns) {
-  ffq::core::spmc_queue<request> submission(1 << 12);
+  // Dedicated lines: the scalar executor parks on its claimed rank, the
+  // many-consumer case of paper Fig. 2 (as in the Fig. 7 service).
+  ffq::core::spmc_queue<request, ffq::core::layout_aligned> submission(1 << 12);
   std::vector<std::unique_ptr<ffq::core::spsc_queue<std::uint64_t>>> responses;
   for (int f = 0; f < fibers; ++f) {
     responses.push_back(

@@ -10,7 +10,10 @@
 // its consumer-private head, FFQ^m its DWCAS producer.
 //
 // Layouts (Fig. 2 ablation): layout_compact, layout_aligned,
-// layout_randomized, layout_aligned_randomized.
+// layout_randomized, layout_aligned_randomized. SPSC and FFQ^s default to
+// layout_compact (one producer, runs drained in order: packed cells move
+// half the lines per batch); FFQ^m defaults to layout_aligned (scalar
+// producers DWCAS neighbouring cells). See DESIGN.md §6 "Cell layout".
 #pragma once
 
 #include "ffq/core/layout.hpp"    // IWYU pragma: export

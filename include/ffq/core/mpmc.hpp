@@ -37,6 +37,8 @@
 
 namespace ffq::core {
 
+// Dedicated lines by default: scalar producers DWCAS neighbouring cells
+// at once, and a shared line would serialize them (DESIGN.md §6 "Cell layout").
 template <typename T, typename Layout = layout_aligned,
           typename Observer = ffq::observe::default_observer>
 class mpmc_queue

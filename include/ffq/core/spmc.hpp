@@ -42,8 +42,11 @@ namespace ffq::core {
 /// FFQ^s. `T` must be nothrow-move-constructible; `Layout` is one of the
 /// policies in layout.hpp. Capacity must be a power of two and must
 /// exceed the maximum number of in-flight items (the paper's implicit
-/// flow-control assumption) for enqueue to stay wait-free.
-template <typename T, typename Layout = layout_aligned,
+/// flow-control assumption) for enqueue to stay wait-free. Packed by
+/// default: one producer writes neighbouring cells and bulk consumers
+/// claim them in runs; pass layout_aligned when many scalar consumers
+/// park on neighbouring ranks (paper Fig. 2, DESIGN.md §6 "Cell layout").
+template <typename T, typename Layout = layout_compact,
           typename Observer = ffq::observe::default_observer>
 class spmc_queue
     : public detail::ring<detail::spmc_cell<T, Layout::kCacheAligned>,

@@ -30,7 +30,9 @@ namespace ffq::core {
 template <typename T, typename Layout, typename Observer>
 class waitable_spsc_queue;
 
-template <typename T, typename Layout = layout_aligned,
+// Packed by default: one producer, one consumer draining in order, so
+// neighbouring cells never pass between threads (DESIGN.md §6 "Cell layout").
+template <typename T, typename Layout = layout_compact,
           typename Observer = ffq::observe::default_observer>
 class spsc_queue
     : public detail::ring<detail::spmc_cell<T, Layout::kCacheAligned>,

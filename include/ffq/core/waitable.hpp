@@ -26,11 +26,13 @@
 
 namespace ffq::core {
 
-template <typename T, typename Layout = layout_aligned,
+// Packed by default, like the spsc_queue it wraps.
+template <typename T, typename Layout = layout_compact,
           typename Observer = ffq::observe::default_observer>
 class waitable_spsc_queue {
  public:
   using value_type = T;
+  using layout_type = Layout;
   using observer_type = Observer;
   static constexpr const char* kName = "ffq-spsc-waitable";
 

@@ -17,10 +17,9 @@
 //     path (one head fetch-and-add claims a whole run), plus a steal pass
 //     — when the cursor's shard runs dry the consumer jumps to the
 //     busiest shard (by approx_size) instead of blindly walking the ring;
-//   * shards pack their cells (layout_compact by default): aligned cells
-//     only pay off when several threads write neighbouring cells at once
-//     (paper Fig. 2), and a shard has one producer and is drained in
-//     runs, so neighbouring cells belong to the same claim. Pass
+//   * shards pack their cells (layout_compact, the FFQ^s default): a
+//     shard has one producer and is drained in runs, so neighbouring
+//     cells belong to the same claim (DESIGN.md §6 "Cell layout"). Pass
 //     layout_aligned when many handles make scalar try_dequeue refills
 //     of one shard (ordered mode with many consumers);
 //   * Ordered mode stamps every item with an epoch drawn from a shared

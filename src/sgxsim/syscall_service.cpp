@@ -6,6 +6,7 @@
 #include <atomic>
 #include <memory>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "ffq/baselines/vyukov_mpmc.hpp"
@@ -150,8 +151,12 @@ constexpr auto nothing = [](auto&&...) {};  // no executors, nothing when done
 
 /// sgx_ffq: per-app-thread FFQ SPMC submission + FFQ SPSC response.
 service_result run_sgx_ffq(const service_config& cfg) {
-  using submission_q = ffq::core::spmc_queue<syscall_request>;
+  // Dedicated lines: each scalar executor parks on its own claimed rank,
+  // the many-consumer case of paper Fig. 2 (DESIGN.md §6 "Cell layout").
+  using submission_q =
+      ffq::core::spmc_queue<syscall_request, ffq::core::layout_aligned>;
   using response_q = ffq::core::spsc_queue<syscall_response>;
+  static_assert(std::is_same_v<submission_q::layout_type, ffq::core::layout_aligned>);
   const auto apps = static_cast<std::size_t>(cfg.app_threads);
   const std::size_t cap = cfg.queue_capacity;
   // Every submission queue needs at least one executor.

@@ -2,12 +2,37 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <type_traits>
 #include <vector>
 
+#include "ffq/core/ffq.hpp"
+#include "ffq/core/waitable.hpp"
 #include "ffq/runtime/cacheline.hpp"
+#include "ffq/shard/shard.hpp"
 
 using namespace ffq::core;
+
+// The default-layout rule (DESIGN.md §6 "Cell layout"): single-producer
+// rings drained in runs pack their cells; FFQ^m keeps dedicated lines.
+template <typename Q, typename L>
+constexpr bool defaults_to = std::is_same_v<typename Q::layout_type, L>;
+static_assert(defaults_to<spsc_queue<long>, layout_compact>);
+static_assert(defaults_to<spmc_queue<long>, layout_compact>);
+static_assert(defaults_to<waitable_spsc_queue<long>, layout_compact>);
+static_assert(defaults_to<ffq::shard::fabric<long>, layout_compact>);
+static_assert(defaults_to<mpmc_queue<long>, layout_aligned>);
+
+// A 16-byte item's packed cell is 32 bytes: two cells per line, so a bulk
+// run of 16 moves 8 lines.
+struct item16 {
+  std::uint64_t a, b;
+};
+static_assert(sizeof(detail::spmc_cell<item16, layout_compact::kCacheAligned>) == 32);
+static_assert(ffq::runtime::kCacheLineSize /
+                  sizeof(detail::spmc_cell<item16, layout_compact::kCacheAligned>) ==
+              2);
 
 TEST(Layout, RotateIndexIsAPermutation) {
   for (unsigned bits : {5u, 10u, 16u}) {

@@ -13,6 +13,8 @@
 #include <tuple>
 #include <vector>
 
+#include "ffq/core/spsc.hpp"
+
 using ffq::core::layout_aligned;
 using ffq::core::spmc_queue;
 
@@ -474,4 +476,91 @@ TEST(SpmcQueueBulk, StressMixedScalarAndBulkConsumers) {
   EXPECT_EQ(total_sum.load(), kItems * (kItems + 1) / 2);
   EXPECT_TRUE(order_ok.load())
       << "each consumer's values must be increasing across bulk batches";
+}
+
+TEST(SpmcQueueBulk, FanoutBulkRoundTripOnDefaultLayouts) {
+  // The fanout_bulk shape on the shipped (packed) defaults, on a ring small
+  // enough to wrap: one producer enqueue_bulk(16)s 16-byte items, two
+  // consumers dequeue_bulk(16) and reply through their own spsc_queue with
+  // enqueue_bulk, and the producer collects with try_dequeue_bulk(64).
+  // More items are in flight than the request ring has cells, so the
+  // producer finds cells still held by a slow claim and announces gaps.
+  struct item {
+    std::uint64_t seq;
+    std::uint64_t check;  // a function of seq: a torn cell shows up here
+  };
+  static_assert(sizeof(item) == 16);
+  using request_q = spmc_queue<item>;
+  using reply_q = ffq::core::spsc_queue<item>;
+  constexpr std::size_t kRing = 64;
+  constexpr std::size_t kBatch = 16;
+  constexpr std::size_t kConsumers = 2;
+  constexpr std::size_t kWindow = 2 * kRing;  // items in flight
+  constexpr std::uint64_t kItems = 16 * 3000;
+  constexpr auto check_of = [](std::uint64_t s) { return ~s * 0x9e3779b97f4a7c15ULL; };
+
+  request_q requests(kRing);
+  // A reply ring holds every item in flight, so a consumer never waits on
+  // its reply while the producer waits on the request ring.
+  std::vector<std::unique_ptr<reply_q>> replies;
+  for (std::size_t c = 0; c < kConsumers; ++c) {
+    replies.push_back(std::make_unique<reply_q>(2 * kWindow));
+  }
+  std::atomic<bool> consumer_fifo{true};
+  std::vector<std::thread> consumers;
+  for (std::size_t c = 0; c < kConsumers; ++c) {
+    consumers.emplace_back([&, c] {
+      item buf[kBatch];
+      std::uint64_t next = 0;  // lowest seq this consumer may still see
+      std::size_t n;
+      while ((n = requests.dequeue_bulk(buf, kBatch)) > 0) {
+        for (std::size_t i = 0; i < n; ++i) {
+          if (buf[i].seq < next) consumer_fifo.store(false);
+          next = buf[i].seq + 1;
+        }
+        replies[c]->enqueue_bulk(buf, n);
+      }
+    });
+  }
+
+  std::vector<std::uint8_t> seen(kItems, 0);
+  std::uint64_t sent = 0, received = 0, sum = 0, duplicates = 0, torn = 0;
+  std::uint64_t reply_next[kConsumers] = {};
+  bool reply_fifo = true;
+  item batch[kBatch];
+  item got[64];
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (received < kItems && std::chrono::steady_clock::now() < deadline) {
+    if (sent < kItems && sent - received + kBatch <= kWindow) {
+      for (std::size_t i = 0; i < kBatch; ++i) batch[i] = {sent + i, check_of(sent + i)};
+      requests.enqueue_bulk(batch, kBatch);
+      sent += kBatch;
+    }
+    for (std::size_t c = 0; c < kConsumers; ++c) {
+      const std::size_t n = replies[c]->try_dequeue_bulk(got, 64);
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::uint64_t s = got[i].seq;
+        if (s < reply_next[c]) reply_fifo = false;
+        reply_next[c] = s + 1;
+        if (s >= kItems || got[i].check != check_of(s)) {
+          ++torn;
+          continue;
+        }
+        duplicates += seen[s];
+        seen[s] = 1;
+        sum += s;
+        ++received;
+      }
+    }
+  }
+  requests.close();
+  for (auto& t : consumers) t.join();
+
+  EXPECT_EQ(sent, kItems);
+  EXPECT_EQ(received, kItems) << "replies missing";
+  EXPECT_EQ(duplicates, 0u);
+  EXPECT_EQ(torn, 0u);
+  EXPECT_EQ(sum, kItems * (kItems - 1) / 2);
+  EXPECT_TRUE(consumer_fifo.load()) << "a consumer saw seqs out of order";
+  EXPECT_TRUE(reply_fifo) << "replies of one consumer came back out of order";
 }
