@@ -13,7 +13,7 @@
 // Expectation (the acceptance criterion CHANGES.md tracks): the fabric
 // meets or beats ffq-mpmc at 4+ producers. At producers = 1 the fabric
 // is a thin wrapper over one FFQ^s, so it bounds the scheduler's
-// overhead; the ordered line prices the epoch stamp + k-way merge.
+// overhead.
 //
 // Output: standard table/CSV plus the JSON report (--json) committed as
 // BENCH_shard_scaling.json, the repo's perf-trajectory baseline.
@@ -111,11 +111,10 @@ double run_mpmc_once(std::size_t producers, std::uint64_t items) {
 /// One producers→consumers run over the shard fabric. Each producer
 /// flow-controls against its *own* shard (the only ring its enqueues
 /// can fill); consumers drain through the scheduler's bulk path.
-template <bool Ordered>
 double run_fabric_once(std::size_t producers, std::uint64_t items) {
   const std::size_t shard_cap =
       std::max<std::size_t>(kCapacity / producers, 1024);
-  shard::fabric<std::uint64_t, Ordered> fab(producers, shard_cap);
+  shard::fabric<std::uint64_t> fab(producers, shard_cap);
   const std::size_t total_threads = producers + kConsumers;
   ffq::runtime::spin_barrier barrier(total_threads + 1);
   ffq::runtime::time_window_recorder window(total_threads);
@@ -216,14 +215,9 @@ int main(int argc, char** argv) {
     mpmc_mean[i] = s.mean;
     add_row(t, "ffq-mpmc", producers, s);
 
-    s = sample(cli.runs,
-               [&] { return run_fabric_once<false>(producers, items); });
+    s = sample(cli.runs, [&] { return run_fabric_once(producers, items); });
     fabric_mean[i] = s.mean;
     add_row(t, "ffq-shard", producers, s);
-
-    s = sample(cli.runs,
-               [&] { return run_fabric_once<true>(producers, items); });
-    add_row(t, "ffq-shard-ordered", producers, s);
   }
 
   std::printf("\n%s", t.str().c_str());
@@ -242,8 +236,7 @@ int main(int argc, char** argv) {
   std::printf(
       "\nexpectation: ffq-shard >= ffq-mpmc at 4+ producers (each enqueue "
       "is the wait-free Algorithm-1 path on a private ring instead of a "
-      "contended DWCAS); ffq-shard-ordered trails unordered by the epoch "
-      "fetch-add plus the k-way merge's per-item shard probe.\n");
+      "contended DWCAS).\n");
   write_trace_if_requested(cli);
   return 0;
 }

@@ -202,7 +202,7 @@ leg_check() {
   local ce=./build-check/tools/check_explore
   local explore_start=$SECONDS q
   echo "--- exhaustive: delay-bounded DFS, bound 2, over every queue shape ---"
-  for q in spsc spmc mpmc waitable shard shard_ordered shard_stall \
+  for q in spsc spmc mpmc waitable shard shard_stall \
            spsc_blocking spmc_blocking spmc_bulk mpmc_blocking; do
     "$ce" --queue "$q" --bound 2
   done

@@ -57,8 +57,11 @@ void spin_until(F&& f) {
 }  // namespace detail
 
 // --- FFQ family ------------------------------------------------------------
+// Each adapter defaults to its queue's own default layout, so the benches
+// measure the cells the library ships (tests/test_layout.cpp).
 
-template <typename Layout = ffq::core::layout_aligned>
+template <typename Layout =
+              typename ffq::core::spsc_queue<std::uint64_t>::layout_type>
 struct ffq_spsc_adapter {
   using queue_type = ffq::core::spsc_queue<std::uint64_t, Layout>;
   using context = detail::no_context;
@@ -82,7 +85,8 @@ struct ffq_spsc_adapter {
   }
 };
 
-template <typename Layout = ffq::core::layout_aligned>
+template <typename Layout =
+              typename ffq::core::spmc_queue<std::uint64_t>::layout_type>
 struct ffq_spmc_adapter {
   using queue_type = ffq::core::spmc_queue<std::uint64_t, Layout>;
   using context = detail::no_context;
@@ -106,7 +110,8 @@ struct ffq_spmc_adapter {
   }
 };
 
-template <typename Layout = ffq::core::layout_aligned>
+template <typename Layout =
+              typename ffq::core::mpmc_queue<std::uint64_t>::layout_type>
 struct ffq_mpmc_adapter {
   using queue_type = ffq::core::mpmc_queue<std::uint64_t, Layout>;
   using context = detail::no_context;

@@ -280,10 +280,8 @@ TEST(CheckOracles, LinearizabilityRejectsDequeueBeforeAnyEnqueue) {
 
 namespace {
 
-using q_shard = ffq::shard::fabric<long long, false, ffq::core::layout_compact,
-                                   obs_off>;
-using q_shard_ord =
-    ffq::shard::fabric<long long, true, ffq::core::layout_compact, obs_off>;
+using q_shard =
+    ffq::shard::fabric<long long, ffq::core::layout_compact, obs_off>;
 
 // A deadlock surfaces as a liveness violation at the step bound; passing
 // runs of these shapes take a few hundred steps.
@@ -496,7 +494,6 @@ TEST(CheckExplore, CleanMpmcPassesExhaustiveBound2) {
 
 TEST(CheckExplore, CleanShardSchedulerModelPassesExhaustiveBound2) {
   expect_clean<q_shard>(fabric_shape(4, 4));
-  expect_clean<q_shard_ord>(fabric_shape(4, 4));
 }
 
 // The fabric-level stall: 2-cell shards under five items per producer, so
@@ -702,19 +699,19 @@ TEST(CheckQueues, BulkPathsFuzzCleanToo) {
   EXPECT_TRUE(r.ok) << r.failure.violation;
 }
 
+// Both cell layouts: the packed default (q_shard) and dedicated lines.
 TEST(CheckQueues, FuzzShardFabricBothModesPass) {
-  using q_shard = ffq::shard::fabric<long long, false, layout_aligned, obs_off>;
-  using q_shard_ord =
-      ffq::shard::fabric<long long, true, layout_aligned, obs_off>;
+  using q_shard_aligned =
+      ffq::shard::fabric<long long, layout_aligned, obs_off>;
   auto cfg = small_cfg(2, 2);
   cfg.dequeue_batch = 2;  // exercise the scheduler's bulk drain
   cfg.check_linearizability = false;  // sharded: not one FIFO by design
-  const auto r = chk::fuzz_queue<q_shard>(cfg, 16, 300);
+  const auto r = chk::fuzz_queue<q_shard_aligned>(cfg, 16, 300);
   EXPECT_TRUE(r.ok) << r.failure.violation
                     << "\nschedule: " << chk::format_schedule(r.failure.sched);
-  const auto o = chk::fuzz_queue<q_shard_ord>(cfg, 17, 300);
-  EXPECT_TRUE(o.ok) << o.failure.violation
-                    << "\nschedule: " << chk::format_schedule(o.failure.sched);
+  const auto c = chk::fuzz_queue<q_shard>(cfg, 17, 300);
+  EXPECT_TRUE(c.ok) << c.failure.violation
+                    << "\nschedule: " << chk::format_schedule(c.failure.sched);
 }
 
 // A consumer may stop only after a try that began after the close: a

@@ -34,8 +34,7 @@ using q_spsc = ffq::core::spsc_queue<long long>;
 using q_spmc = ffq::core::spmc_queue<long long>;
 using q_mpmc = ffq::core::mpmc_queue<long long>;
 using q_wait = ffq::core::waitable_spsc_queue<long long>;
-using q_shard = ffq::shard::fabric<long long, false>;
-using q_shard_ord = ffq::shard::fabric<long long, true>;
+using q_shard = ffq::shard::fabric<long long>;
 
 /// One run of the fixed program over Queue under the given seed; the run
 /// must already satisfy the oracles on its own (the harness checks them)
@@ -127,28 +126,21 @@ TEST(Differential, ShardFabricAgreesWithMpmcOnMultiset) {
   for (std::uint64_t seed = 1; seed <= 25; ++seed) {
     const auto m = run_seeded<q_mpmc>(cfg, seed);
     const auto f = run_seeded<q_shard>(cfg, seed);
-    const auto o = run_seeded<q_shard_ord>(cfg, seed);
     const auto fb = run_seeded<q_shard>(bulk, seed);
-    const auto ob = run_seeded<q_shard_ord>(bulk, seed);
     ASSERT_EQ(m.dequeued_sorted, f.dequeued_sorted) << "seed " << seed;
-    ASSERT_EQ(m.dequeued_sorted, o.dequeued_sorted) << "seed " << seed;
     ASSERT_EQ(m.dequeued_sorted, fb.dequeued_sorted) << "seed " << seed;
-    ASSERT_EQ(m.dequeued_sorted, ob.dequeued_sorted) << "seed " << seed;
   }
 }
 
-// With one producer the fabric degenerates to a single FFQ^s shard and
-// both fabric modes become strict FIFOs: a single consumer must see the
-// exact SPSC stream, and the ordered merge must not perturb it.
+// With one producer the fabric degenerates to a single FFQ^s shard, a
+// strict FIFO: a single consumer must see the exact SPSC stream.
 TEST(Differential, SingleProducerFabricIsExactlyFifo) {
   auto cfg = shape(1, 1, 10);
   cfg.check_linearizability = false;
   for (std::uint64_t seed = 1; seed <= 25; ++seed) {
     const auto a = run_seeded<q_spsc>(cfg, seed);
     const auto f = run_seeded<q_shard>(cfg, seed);
-    const auto o = run_seeded<q_shard_ord>(cfg, seed);
     ASSERT_EQ(a.streams, f.streams) << "seed " << seed;
-    ASSERT_EQ(a.streams, o.streams) << "seed " << seed;
   }
 }
 

@@ -1,12 +1,10 @@
 // Tests for ffq::shard — the sharded SPMC fabric (DESIGN.md §11): the
 // zero-cost claim (the off observer leaves the fabric layout
-// byte-identical, asserted against mirror structs; the counters and trace
-// layouts are pinned too), the packed default shard layout, conservation
-// and per-producer FIFO under real threads in both modes and both cell
-// layouts, the ordered mode's closed-drain total order, the scheduler's
-// round-robin turns and steals and its telemetry counters (steals,
-// drains, empty polls/sweeps), and placement-plan reuse of the runtime
-// topology layer.
+// byte-identical, asserted against a mirror struct; the counters and
+// trace layouts are pinned too), the packed default shard layout, the
+// item-free consumer handle, conservation and per-producer FIFO under real
+// threads in both cell layouts, and the scheduler's round-robin turns and
+// steals and its telemetry counters (steals, drains, empty polls/sweeps).
 #include "ffq/shard/shard.hpp"
 
 #include <gtest/gtest.h>
@@ -22,48 +20,32 @@
 #include <vector>
 
 #include "ffq/observe/observer.hpp"
+#include "ffq/runtime/cacheline.hpp"
 
 namespace sh = ffq::shard;
-namespace rt = ffq::runtime;
 namespace obs = ffq::observe;
 
 namespace {
 
-template <bool Ordered, typename Observer>
-using fab = sh::fabric<long long, Ordered, ffq::core::layout_aligned, Observer>;
-using fab_plain = fab<false, obs::off>;
-using fab_plain_ord = fab<true, obs::off>;
-using fab_tel = fab<false, obs::counters>;
+template <typename Observer>
+using fab = sh::fabric<long long, ffq::core::layout_aligned, Observer>;
+using fab_plain = fab<obs::off>;
+using fab_tel = fab<obs::counters>;
 
-// --- zero-cost layout: mirrors of the off-observer fabrics ----------------
+// --- zero-cost layout: mirror of the off-observer fabric ------------------
 // The mirror repeats the fabric's members minus the observer; equal size
 // and alignment proves [[no_unique_address]] erased it.
 
 struct fabric_mirror {
   std::size_t shard_capacity;
-  sh::options opts;
   std::vector<std::unique_ptr<fab_plain::shard_type>> shards;
-  sh::placement_plan plan;
   std::atomic<std::uint64_t> next_consumer;
   std::atomic<bool> closed;
-};
-
-struct fabric_ordered_mirror {
-  std::size_t shard_capacity;
-  sh::options opts;
-  std::vector<std::unique_ptr<fab_plain_ord::shard_type>> shards;
-  sh::placement_plan plan;
-  std::atomic<std::uint64_t> next_consumer;
-  std::atomic<bool> closed;
-  rt::padded<std::atomic<std::uint64_t>> epoch;
 };
 
 static_assert(sizeof(fab_plain) == sizeof(fabric_mirror),
               "the off observer must not grow the fabric");
-static_assert(sizeof(fab_plain_ord) == sizeof(fabric_ordered_mirror),
-              "the off observer must not grow the ordered fabric");
 static_assert(alignof(fab_plain) == alignof(fabric_mirror));
-static_assert(alignof(fab_plain_ord) == alignof(fabric_ordered_mirror));
 
 // The counting observers' layouts: the scheduler counter block, plus the
 // 2-byte trace id under `trace`.
@@ -71,14 +53,10 @@ template <typename F>
 constexpr bool layout_is(std::size_t size, std::size_t align) {
   return sizeof(F) == size && alignof(F) == align;
 }
-static_assert(layout_is<fab<false, obs::counters>>(208, 8),
-              "the counters observer must keep the fabric at 208/8");
-static_assert(layout_is<fab<false, obs::trace>>(216, 8),
-              "the trace observer must keep the fabric at 216/8");
-static_assert(layout_is<fab<true, obs::counters>>(320, 64),
-              "the counters observer must keep the ordered fabric at 320/64");
-static_assert(layout_is<fab<true, obs::trace>>(320, 64),
-              "the trace observer must keep the ordered fabric at 320/64");
+static_assert(layout_is<fab<obs::counters>>(152, 8),
+              "the counters observer must keep the fabric at 152/8");
+static_assert(layout_is<fab<obs::trace>>(160, 8),
+              "the trace observer must keep the fabric at 160/8");
 
 // The shipped default: every shard packs its cells (DESIGN.md §11).
 static_assert(std::is_same_v<sh::fabric<long long>::shard_type,
@@ -86,15 +64,22 @@ static_assert(std::is_same_v<sh::fabric<long long>::shard_type,
                                                    ffq::core::layout_compact,
                                                    obs::default_observer>>);
 
+// A consumer handle is a cursor and a turn count: it holds no item between
+// calls, so destroying one before the fabric drains cannot lose an item.
+// It fills a cache line of its own, so the drains that write it never
+// invalidate a neighbour that producers read on every enqueue.
+using consumer_handle = sh::fabric<long long>::consumer_handle;
+static_assert(std::is_trivially_destructible_v<consumer_handle>);
+static_assert(alignof(consumer_handle) == ffq::runtime::kCacheLineSize &&
+              sizeof(consumer_handle) == ffq::runtime::kCacheLineSize);
+
 /// The typed tests' fabrics: the shipped default layout and the explicit
 /// aligned one (the tsan and asan legs run both).
 struct default_layout {
-  template <bool Ordered>
-  using fabric = sh::fabric<long long, Ordered>;
+  using fabric = sh::fabric<long long>;
 };
 struct aligned_layout {
-  template <bool Ordered>
-  using fabric = sh::fabric<long long, Ordered, ffq::core::layout_aligned>;
+  using fabric = sh::fabric<long long, ffq::core::layout_aligned>;
 };
 
 /// Value encoding: producer p's i-th item is p * kStride + i, so streams
@@ -175,59 +160,21 @@ TEST(ShardFabric, ShapeAndLifecycle) {
   EXPECT_EQ(fab.shard_capacity(), 64u);
   EXPECT_FALSE(fab.closed());
   EXPECT_EQ(fab.approx_size(), 0);
-  EXPECT_TRUE(fab.placement().empty());  // default policy: none
   fab.close();
   EXPECT_TRUE(fab.closed());
 }
 
 TYPED_TEST(ShardFabricLayout, UnorderedConservationAndPerProducerFifo) {
   const int kProducers = 4, kItems = 5000, kConsumers = 2;
-  typename TypeParam::template fabric<false> fab(kProducers, 1024);
+  typename TypeParam::fabric fab(kProducers, 1024);
   const auto streams = run_fabric(fab, kProducers, kItems, kConsumers);
   expect_conservation(streams, kProducers, kItems);
   for (const auto& s : streams) expect_per_producer_fifo(s);
-}
-
-TYPED_TEST(ShardFabricLayout, OrderedConservationAndPerProducerFifo) {
-  const int kProducers = 3, kItems = 3000, kConsumers = 2;
-  typename TypeParam::template fabric<true> fab(kProducers, 1024);
-  const auto streams = run_fabric(fab, kProducers, kItems, kConsumers);
-  expect_conservation(streams, kProducers, kItems);
-  for (const auto& s : streams) expect_per_producer_fifo(s);
-}
-
-// Ordered mode's strongest contract: draining a *closed* fabric with a
-// single consumer yields exact global epoch order. With enqueues issued
-// from one thread, epoch order is enqueue order, so the drained sequence
-// must equal the enqueue sequence even though it zig-zags across shards.
-TYPED_TEST(ShardFabricLayout, OrderedClosedDrainIsEnqueueOrder) {
-  const int kProducers = 3, kRounds = 40;
-  typename TypeParam::template fabric<true> fab(kProducers, 128);
-  std::vector<long long> want;
-  for (int i = 0; i < kRounds; ++i) {
-    // Uneven zig-zag so the merge has to interleave shards non-trivially.
-    for (int p = 0; p < kProducers; ++p) {
-      const int burst = 1 + (i + p) % 3;
-      auto ep = fab.producer(static_cast<std::size_t>(p));
-      for (int b = 0; b < burst; ++b) {
-        const long long v =
-            static_cast<long long>(p) * kStride + i * 10 + b;
-        ep.enqueue(v);
-        want.push_back(v);
-      }
-    }
-  }
-  fab.close();
-  auto c = fab.consumer();
-  std::vector<long long> got;
-  long long v = 0;
-  while (c.dequeue(v)) got.push_back(v);
-  ASSERT_EQ(got, want);
 }
 
 TYPED_TEST(ShardFabricLayout, BulkEnqueueAndBulkDequeueAgree) {
   const int kProducers = 2, kItems = 4096;
-  typename TypeParam::template fabric<false> fab(kProducers, 512);
+  typename TypeParam::fabric fab(kProducers, 512);
   std::vector<std::thread> pts;
   std::atomic<int> left{kProducers};
   for (int p = 0; p < kProducers; ++p) {
@@ -348,46 +295,12 @@ TEST(ShardFabric, ConsumerCursorsRotateAcrossHandles) {
   // steal, proving consumer() spreads start cursors round-robin.
   auto p2 = fab.producer(2);
   for (int i = 0; i < 4; ++i) p2.enqueue(i);
-  auto c0 = fab.consumer();
-  auto c1 = fab.consumer();
+  fab.consumer();  // the first two handles take start cursors 0 and 1
+  fab.consumer();
   auto c2 = fab.consumer();
   std::vector<long long> buf(8);
   EXPECT_EQ(c2.try_dequeue_bulk(buf.begin(), buf.size()), 4u);
   EXPECT_EQ(fab.telemetry().steals(), 0u);
-}
-
-TEST(ShardFabric, PlacementPlanReusesTopologyLayer) {
-  const auto topo = rt::cpu_topology::synthetic(1, 4, 2);
-  sh::options opts;
-  opts.placement = rt::placement_policy::other_core;
-  opts.topology = &topo;
-  fab_plain fab(3, 64, opts);
-  const auto& plan = fab.placement();
-  ASSERT_EQ(plan.groups.size(), 3u);
-  EXPECT_EQ(plan.policy, rt::placement_policy::other_core);
-  for (std::size_t s = 0; s < 3; ++s) {
-    ASSERT_NE(fab.placement_of(s), nullptr);
-    EXPECT_FALSE(fab.placement_of(s)->producer_cpus.empty());
-    EXPECT_FALSE(fab.placement_of(s)->consumer_cpus.empty());
-  }
-  EXPECT_EQ(fab.placement_of(3), nullptr);  // out of range: no group
-  // The summary names the policy and every shard's groups.
-  const auto s = plan.summary();
-  EXPECT_NE(s.find("policy=other-core"), std::string::npos);
-  EXPECT_NE(s.find("shards=3"), std::string::npos);
-  // Direct planning agrees with what the fabric stored.
-  const auto direct = sh::plan_shards(topo, rt::placement_policy::other_core, 3);
-  ASSERT_EQ(direct.groups.size(), plan.groups.size());
-  for (std::size_t g = 0; g < direct.groups.size(); ++g) {
-    EXPECT_EQ(direct.groups[g].producer_cpus, plan.groups[g].producer_cpus);
-    EXPECT_EQ(direct.groups[g].consumer_cpus, plan.groups[g].consumer_cpus);
-  }
-}
-
-TEST(ShardFabric, PolicyNoneSkipsPlanning) {
-  fab_plain fab(2, 64);  // default options: placement none
-  EXPECT_TRUE(fab.placement().empty());
-  EXPECT_EQ(fab.placement_of(0), nullptr);
 }
 
 TEST(ShardFabric, BlockingDequeueReturnsFalseOnlyWhenClosedAndDrained) {

@@ -561,7 +561,7 @@ TEST(TraceObserver, WaitableParksAndWakesFeedBothSinks) {
 
 TEST(TraceObserver, FabricStealsAndSweepsFeedBothSinks) {
   trc::registry::instance().reset();
-  ffq::shard::fabric<long long, false, layout_aligned, traced> fab(2, 64);
+  ffq::shard::fabric<long long, layout_aligned, traced> fab(2, 64);
   auto c0 = fab.consumer();  // cursor starts at shard 0
   auto p1 = fab.producer(1);
   for (int i = 0; i < 10; ++i) p1.enqueue(i);

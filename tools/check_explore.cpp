@@ -43,8 +43,7 @@ constexpr const char* kUsage =
     "                     [--mutate MUTATION]\n"
     "       check_explore --queue NAME --replay SCHEDULE [--mutate MUTATION]\n"
     "       check_explore --help\n"
-    "queues (polling consumers): spsc spmc mpmc waitable shard shard_ordered\n"
-    "       shard_stall\n"
+    "queues (polling consumers): spsc spmc mpmc waitable shard shard_stall\n"
     "queues (blocking consumers): spsc_blocking spmc_blocking spmc_bulk\n"
     "       mpmc_blocking\n"
     "       all (every queue above; not with --replay)\n"
@@ -118,8 +117,7 @@ using q_spsc = ffq::core::spsc_queue<long long>;
 using q_spmc = ffq::core::spmc_queue<long long>;
 using q_mpmc = ffq::core::mpmc_queue<long long>;
 using q_wait = ffq::core::waitable_spsc_queue<long long>;
-using q_shard = ffq::shard::fabric<long long, false>;
-using q_shard_ord = ffq::shard::fabric<long long, true>;
+using q_shard = ffq::shard::fabric<long long>;
 
 // The step bound turns a deadlock into a liveness violation; passing runs
 // of these shapes take a few hundred steps (all pass under 1,000).
@@ -173,7 +171,6 @@ int run_named(const std::string& name, const request& req) {
   run.operator()<q_mpmc>("mpmc", kMpmc);
   run.operator()<q_wait>("waitable", kSpsc);
   run.operator()<q_shard>("shard", kShard);
-  run.operator()<q_shard_ord>("shard_ordered", kShard);
   run.operator()<q_shard>("shard_stall", kShardStall);
   run.operator()<q_spsc>("spsc_blocking", kSpscBlocking);
   run.operator()<q_spmc>("spmc_blocking", kSpmcBlocking);
