@@ -3,7 +3,7 @@
 // A driver is anything with `int pick(const std::vector<int>& runnable,
 // bool waiting)`: given the runnable task indices (spawn order, never
 // empty) and whether the task stepped last ended a spin-wait round
-// (coop_sched::waiting), return the one to step next, or -1 to abandon
+// (the FFQ_CHECK_SPIN mark, harness.hpp), return the one to step next, or -1 to abandon
 // the run. The harness records every pick into a schedule so any run —
 // random or exhaustive — replays.
 //

@@ -1,5 +1,6 @@
-// harness.hpp — run a producer/consumer program over a *real* queue under
-// the cooperative scheduler, then judge the run with the oracles.
+// harness.hpp — run a producer/consumer program over a *real* queue as
+// fibers of runtime::fiber_scheduler, stepped one scheduling point at a
+// time by a driver, then judge the run with the oracles.
 //
 // The queue headers must be compiled with FFQ_CHECK=1 in this TU (the
 // `check` preset sets it globally; tests define it before any include) so
@@ -32,6 +33,10 @@
 // linearizable to one FIFO; conservation and per-producer FIFO are its
 // contract.
 //
+// The check-only part of the stepping lives in run_program: it routes
+// FFQ_CHECK_YIELD() to fiber_scheduler::yield, reads and clears the
+// FFQ_CHECK_SPIN() mark after each step, and counts steps.
+//
 // program_config::mutate runs the queues with one safeguard switched off
 // (yield.hpp); the drivers that explore programs live in explore.hpp.
 #pragma once
@@ -44,9 +49,9 @@
 
 #include "ffq/check/drivers.hpp"
 #include "ffq/check/oracles.hpp"
-#include "ffq/check/sched.hpp"
 #include "ffq/check/schedule.hpp"
 #include "ffq/check/yield.hpp"
+#include "ffq/runtime/fiber.hpp"
 
 namespace ffq::check {
 
@@ -158,7 +163,8 @@ run_result run_program(const program_config& cfg, Driver& driver) {
       return Queue(cfg.capacity);
     }
   }();
-  coop_sched sched;
+  ffq::runtime::fiber_scheduler sched;
+  std::vector<int> runnable;  // unfinished fibers, in spawn order
 
   std::uint64_t stamp = 0;  // monotone invocation/response counter
   std::vector<lin_op> history;
@@ -166,7 +172,7 @@ run_result run_program(const program_config& cfg, Driver& driver) {
   int producers_left = cfg.producers;
 
   for (int p = 0; p < cfg.producers; ++p) {
-    sched.spawn([&, p] {
+    runnable.push_back(sched.spawn([&, p] {
       auto ep = detail::producer_endpoint(q, p);
       std::vector<long long> batch;
       auto flush = [&] {
@@ -193,11 +199,11 @@ run_result run_program(const program_config& cfg, Driver& driver) {
       }
       flush();
       if (--producers_left == 0) q.close();
-    });
+    }));
   }
 
   for (int c = 0; c < cfg.consumers; ++c) {
-    sched.spawn([&, c] {
+    runnable.push_back(sched.spawn([&, c] {
       auto& stream = res.streams[static_cast<std::size_t>(c)];
       const int tid = cfg.producers + c;
       auto ep = detail::consumer_endpoint(q);
@@ -249,35 +255,35 @@ run_result run_program(const program_config& cfg, Driver& driver) {
         closed_seen = q.closed();
         if (!closed_seen) {  // empty but open: a spin-wait round
           spin_point();
-          coop_sched::yield();
+          ffq::runtime::fiber_scheduler::yield();
         }
       }
-    });
+    }));
   }
 
   const detail::mutation_scope mutated(cfg.mutate);
-  int last = -1;
-  while (!sched.all_done()) {
-    const std::vector<int> runnable = sched.runnable();
-    const int pick = driver.pick(runnable, last >= 0 && sched.waiting(last));
+  const hook_guard hooked(&ffq::runtime::fiber_scheduler::yield);
+  bool waiting = false;  // the last step ended a spin-wait round
+  while (!runnable.empty()) {
+    const int pick = driver.pick(runnable, waiting);
     if (pick < 0) {
       res.ok = false;
       res.violation = "schedule: driver stopped before the program finished";
-      res.steps = sched.steps();
       return res;
     }
     res.sched.picks.push_back(pick);
-    sched.step(pick);
-    last = pick;
-    if (sched.steps() > cfg.max_steps) {
+    tl_spinning = false;  // a mark left outside any fiber is not this one's
+    if (!sched.step(pick)) {
+      runnable.erase(std::find(runnable.begin(), runnable.end(), pick));
+    }
+    waiting = tl_spinning;
+    if (++res.steps > cfg.max_steps) {
       res.ok = false;
       res.violation = "liveness: step bound " + std::to_string(cfg.max_steps) +
                       " exceeded (livelock or starvation)";
-      res.steps = sched.steps();
       return res;
     }
   }
-  res.steps = sched.steps();
 
   // Oracles, cheapest first.
   std::vector<long long> got;

@@ -9,11 +9,11 @@
 // guarantee the observer makes). In a TU compiled with FFQ_CHECK=1 (the
 // `check` CMake preset, or a test that defines it before including the
 // queue headers) FFQ_CHECK_YIELD() calls through a thread-local hook that
-// the cooperative scheduler (sched.hpp) installs while it is stepping a
-// task — so a queue running inside a check task hands control back to
-// the schedule driver at every protocol step, and ordinary code in the
-// same build pays one thread-local load and a predicted-not-taken branch
-// only.
+// the harness (harness.hpp) points at runtime::fiber_scheduler::yield
+// while it steps a program — so a queue running inside a checked fiber
+// hands control back to the schedule driver at every protocol step, and
+// ordinary code in the same build pays one thread-local load and a
+// predicted-not-taken branch only.
 //
 // Yield points mark the boundaries the paper's arguments care about: the
 // head/tail fetch-and-adds, each iteration of the cell-resolution spins,
@@ -35,12 +35,12 @@ namespace ffq::check {
 
 using yield_hook_fn = void (*)();
 
-/// Installed by coop_sched::step() for the duration of a task step;
-/// null whenever no checking scheduler is driving this thread.
+/// Installed by run_program (harness.hpp) while it steps a program;
+/// null whenever no checker is driving this thread.
 inline thread_local yield_hook_fn tl_yield_hook = nullptr;
 
-/// Set by FFQ_CHECK_SPIN(); the scheduler reads and clears it at the
-/// task's next yield.
+/// Set by FFQ_CHECK_SPIN(); the harness reads and clears it after each
+/// step, so it tells whether the step ended at a spin-wait's yield.
 inline thread_local bool tl_spinning = false;
 
 /// The out-of-line body of FFQ_CHECK_YIELD() in FFQ_CHECK builds.
@@ -79,7 +79,7 @@ inline thread_local mutation tl_mutation = mutation::none;
 
 inline bool mutant(mutation m) noexcept { return tl_mutation == m; }
 
-/// RAII installer, used by the scheduler (and handy in tests).
+/// RAII installer, used by the harness (and handy in tests).
 class hook_guard {
  public:
   explicit hook_guard(yield_hook_fn fn) noexcept : prev_(tl_yield_hook) {

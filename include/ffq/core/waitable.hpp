@@ -72,27 +72,7 @@ class waitable_spsc_queue {
   /// Consumer only. Parks in the kernel while the queue is empty;
   /// returns false once closed and drained.
   bool dequeue(T& out) noexcept {
-    for (int i = 0; i < kSpinRounds; ++i) {
-      if (q_.try_dequeue(out)) return true;
-      ffq::runtime::cpu_relax();
-    }
-    for (;;) {
-      const auto key = ec_.prepare_wait();
-      // Re-check under the announced wait: a producer that enqueued
-      // after our last poll either sees our waiter count (and will
-      // notify) or we see its item here.
-      if (q_.try_dequeue(out)) {
-        ec_.cancel_wait();
-        return true;
-      }
-      if (q_.closed()) {
-        ec_.cancel_wait();
-        // Drain anything between the closed flag and the last publish.
-        return q_.try_dequeue(out);
-      }
-      q_.obs_.on_park();
-      ec_.wait(key);
-    }
+    return take_or_park([&] { return q_.try_dequeue(out); });
   }
 
   /// Consumer only. Bulk variant of dequeue(): parks in the kernel while
@@ -100,25 +80,7 @@ class waitable_spsc_queue {
   template <typename OutIt>
   std::size_t dequeue_bulk(OutIt out, std::size_t max_n) noexcept {
     if (max_n == 0) return 0;
-    for (int i = 0; i < kSpinRounds; ++i) {
-      const std::size_t n = q_.try_dequeue_bulk(out, max_n);
-      if (n > 0) return n;
-      ffq::runtime::cpu_relax();
-    }
-    for (;;) {
-      const auto key = ec_.prepare_wait();
-      const std::size_t n = q_.try_dequeue_bulk(out, max_n);
-      if (n > 0) {
-        ec_.cancel_wait();
-        return n;
-      }
-      if (q_.closed()) {
-        ec_.cancel_wait();
-        return q_.try_dequeue_bulk(out, max_n);
-      }
-      q_.obs_.on_park();
-      ec_.wait(key);
-    }
+    return take_or_park([&] { return q_.try_dequeue_bulk(out, max_n); });
   }
 
   /// Producer side: end the stream and wake any parked consumer.
@@ -150,6 +112,34 @@ class waitable_spsc_queue {
   }
 
  private:
+  /// The consumer's wait, around one non-blocking take (true or a
+  /// count > 0 on success): spin briefly, then park until the take
+  /// succeeds or the queue is closed and drained.
+  template <typename Take>
+  auto take_or_park(Take take) noexcept {
+    for (int i = 0; i < kSpinRounds; ++i) {
+      if (const auto got = take()) return got;
+      ffq::runtime::cpu_relax();
+    }
+    for (;;) {
+      const auto key = ec_.prepare_wait();
+      // Re-check under the announced wait: a producer that enqueued
+      // after our last poll either sees our waiter count (and will
+      // notify) or we see its item here.
+      if (const auto got = take()) {
+        ec_.cancel_wait();
+        return got;
+      }
+      if (q_.closed()) {
+        ec_.cancel_wait();
+        // Drain anything between the closed flag and the last publish.
+        return take();
+      }
+      q_.obs_.on_park();
+      ec_.wait(key);
+    }
+  }
+
   /// Count a wake-up only when a consumer is (racily) parked — mirroring
   /// when notify_one/notify_all actually issue a futex wake.
   void count_wake() noexcept {

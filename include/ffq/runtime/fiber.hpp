@@ -9,17 +9,29 @@
 //
 // This is that scheduler, reduced to what the asynchronous-syscall
 // architecture needs: one `fiber_scheduler` per OS thread, cooperative
-// fibers (ucontext-based), `yield()` from inside a fiber, and a
-// `wait_until(pred)` helper that yields until a condition holds — the
-// idiom an app fiber uses while its syscall response is in flight.
-// With m fibers per OS thread, a single producer keeps up to m requests
-// outstanding in its SPMC submission queue, which is exactly the
-// "implicit flow control" population the paper dimensions queues for.
+// fibers, `yield()` from inside a fiber, and a `wait_until(pred)` helper
+// that yields until a condition holds — the idiom an app fiber uses while
+// its syscall response is in flight. With m fibers per OS thread, a single
+// producer keeps up to m requests outstanding in its SPMC submission
+// queue, which is exactly the "implicit flow control" population the
+// paper dimensions queues for.
+//
+// It is also the checker's scheduler: `step(i)` resumes one chosen fiber
+// until it yields or finishes, so an external driver (ffq::check,
+// harness.hpp) decides every interleaving; `run()` is round-robin over
+// `step`.
+//
+// The context switch (fiber.cpp) is x86-64 SysV only: it saves and
+// restores the callee-saved registers (rbx, rbp, r12–r15, rsp) and the
+// MXCSR and x87 control words, and leaves the signal mask alone, so a
+// switch makes no system call. It carries no sanitizer fiber
+// annotations, so the sanitizer CI legs leave fibers out (ci.sh).
 #pragma once
 
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <vector>
 
 namespace ffq::runtime {
 
@@ -35,21 +47,25 @@ class fiber_scheduler {
   fiber_scheduler(const fiber_scheduler&) = delete;
   fiber_scheduler& operator=(const fiber_scheduler&) = delete;
 
-  /// Register a fiber. Must be called before run() or from inside a
-  /// running fiber of this scheduler.
-  void spawn(std::function<void()> fn);
+  /// Register a fiber; returns its index (0, 1, 2, ... in spawn order).
+  /// May be called before run() or from inside a running fiber of this
+  /// scheduler. The fiber does not start until it is first stepped. An
+  /// exception that escapes `fn` ends the program (std::terminate).
+  int spawn(std::function<void()> fn);
 
-  /// Run fibers round-robin on the calling OS thread until every fiber
-  /// has finished. Re-entrant spawns are picked up.
+  /// Resume fiber i until it yields or finishes. Returns true if it can
+  /// still run; stepping a finished or unknown fiber is a no-op that
+  /// returns false.
+  bool step(int i);
+
+  /// Step every fiber round-robin on the calling OS thread until all have
+  /// finished. Fibers spawned meanwhile are picked up.
   void run();
-
-  /// Number of fibers not yet finished (valid inside run()).
-  std::size_t live_fibers() const noexcept;
 
   // --- static API usable from inside a fiber ---------------------------
 
-  /// Cooperative yield: back to the scheduler, which resumes the next
-  /// ready fiber. No-op when called outside a fiber.
+  /// Cooperative yield: back to the caller of step(). No-op when called
+  /// outside a fiber.
   static void yield();
 
   /// Yield until `pred()` returns true (checked each time this fiber is
@@ -63,8 +79,15 @@ class fiber_scheduler {
   static bool in_fiber() noexcept;
 
  private:
-  struct impl;
-  std::unique_ptr<impl> impl_;
+  struct fiber;
+
+  [[noreturn]] static void entry() noexcept;
+
+  std::vector<std::unique_ptr<fiber>> fibers_;
+  fiber* current_ = nullptr;  // the fiber being stepped
+  void* driver_sp_ = nullptr;  // the stepping caller's saved stack pointer
+
+  static thread_local fiber_scheduler* active_;  // stepping on this thread
 };
 
 }  // namespace ffq::runtime

@@ -35,6 +35,7 @@
 #include "ffq/shard/shard.hpp"
 
 namespace chk = ffq::check;
+using fibers = ffq::runtime::fiber_scheduler;
 
 namespace {
 
@@ -144,17 +145,18 @@ TEST(CheckSchedule, ParseRejectsMalformedInput) {
 }
 
 // ---------------------------------------------------------------------------
-// Cooperative scheduler: externally driven, deterministic, yield hooks.
+// The stepped fibers the checker drives: externally ordered, deterministic,
+// and reached from inside a queue through the FFQ_CHECK_YIELD() hook.
 // ---------------------------------------------------------------------------
 
 TEST(CheckSched, StepsTasksInExactlyTheOrderDriven) {
   auto run = [](const std::vector<int>& picks) {
-    chk::coop_sched s;
+    fibers s;
     std::vector<int> log;
     for (int t = 0; t < 3; ++t) {
       s.spawn([&log, t] {
         log.push_back(t);
-        chk::coop_sched::yield();
+        fibers::yield();
         log.push_back(t + 10);
       });
     }
@@ -168,21 +170,20 @@ TEST(CheckSched, StepsTasksInExactlyTheOrderDriven) {
 }
 
 TEST(CheckSched, StepOnFinishedTaskIsANoOp) {
-  chk::coop_sched s;
+  fibers s;
   int runs = 0;
-  s.spawn([&] { ++runs; });
+  EXPECT_EQ(s.spawn([&] { ++runs; }), 0);
   EXPECT_FALSE(s.step(0));  // runs to completion, no yield
-  EXPECT_TRUE(s.done(0));
   EXPECT_FALSE(s.step(0));
+  EXPECT_FALSE(s.step(1));  // no such fiber
   EXPECT_EQ(runs, 1);
-  EXPECT_TRUE(s.all_done());
-  EXPECT_TRUE(s.runnable().empty());
 }
 
 TEST(CheckSched, QueueYieldPointsRouteToTheScheduler) {
   // An instrumented enqueue/try_dequeue hits FFQ_CHECK_YIELD() inside the
   // queue; the hook must bounce control back to the driver mid-operation.
-  chk::coop_sched s;
+  const chk::hook_guard hooked(&fibers::yield);
+  fibers s;
   q_spsc q(4);
   std::vector<std::string> log;
   s.spawn([&] {
@@ -191,16 +192,14 @@ TEST(CheckSched, QueueYieldPointsRouteToTheScheduler) {
   });
   s.spawn([&] {
     long long v = 0;
-    while (!q.try_dequeue(v)) chk::coop_sched::yield();
+    while (!q.try_dequeue(v)) fibers::yield();
     log.push_back("dequeued " + std::to_string(v));
   });
   // The producer's first step must stop at a yield point *inside*
   // enqueue — i.e. before "enqueued" is logged.
   EXPECT_TRUE(s.step(0));
   EXPECT_TRUE(log.empty());
-  while (!s.all_done()) {
-    for (int t : s.runnable()) s.step(t);
-  }
+  s.run();
   EXPECT_EQ(log, (std::vector<std::string>{"enqueued", "dequeued 7"}));
 }
 
@@ -733,7 +732,8 @@ TEST(CheckQueues, FabricConsumersStopOnlyAfterATryThatFollowsTheClose) {
 // second must return 0 instead of claiming rank 1 and waiting for it until
 // close() (the shape behind the bench_shard_scaling hang).
 TEST(CheckQueues, NonBlockingClaimNeverOvershootsTheTail) {
-  chk::coop_sched s;
+  const chk::hook_guard hooked(&fibers::yield);
+  fibers s;
   q_spmc q(8);
   q.enqueue(7);
   std::size_t got[2] = {99, 99};
@@ -754,7 +754,7 @@ TEST(CheckQueues, NonBlockingClaimNeverOvershootsTheTail) {
   int steps = 0;
   while (s.step(1) && ++steps < 10000) {
   }
-  const bool returned = s.done(1);
+  const bool returned = steps < 10000;  // the loop ended on a finished step
   q.close();  // releases an overshot claim so the task can finish
   while (s.step(1)) {
   }

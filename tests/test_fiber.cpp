@@ -1,10 +1,13 @@
-// Tests for the cooperative fiber scheduler and its integration with the
-// FFQ queues (the paper's m:n application-thread architecture, §I).
+// Tests for the cooperative fiber scheduler — round-robin and externally
+// stepped, and the context switch under both — and its integration with
+// the FFQ queues (the paper's m:n application-thread architecture, §I).
 #include "ffq/runtime/fiber.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cfenv>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
@@ -20,7 +23,6 @@ TEST(Fiber, RunsAllFibersToCompletion) {
   }
   sched.run();
   EXPECT_EQ(done, 10);
-  EXPECT_EQ(sched.live_fibers(), 0u);
 }
 
 TEST(Fiber, YieldInterleavesRoundRobin) {
@@ -67,6 +69,88 @@ TEST(Fiber, SpawnFromInsideAFiber) {
   });
   sched.run();
   EXPECT_EQ(children, 4);
+}
+
+// step(i) runs exactly the fiber named, so a driver that is not
+// round-robin gets its order, and the same order twice gives the same log.
+TEST(Fiber, StepsFibersInExactlyTheOrderDriven) {
+  auto run = [](const std::vector<int>& picks) {
+    rt::fiber_scheduler sched;
+    std::vector<int> log;
+    for (int id = 0; id < 3; ++id) {
+      EXPECT_EQ(sched.spawn([&log, id] {
+        for (int round = 0; round < 3; ++round) {
+          log.push_back(10 * round + id);
+          rt::fiber_scheduler::yield();
+        }
+      }), id);
+    }
+    for (int p : picks) sched.step(p);
+    return log;
+  };
+  const std::vector<int> picks = {1, 1, 2, 0, 1, 0, 2, 2, 0, 1, 0};
+  EXPECT_EQ(run(picks), run(picks));
+  EXPECT_EQ(run(picks),
+            (std::vector<int>{1, 11, 2, 0, 21, 10, 12, 22, 20}));
+}
+
+// The switch keeps what the ABI makes callee-saved per fiber: A runs
+// rounding upward with live integer and floating-point locals, B runs in
+// the default mode, and each yields to the other several times.
+TEST(Fiber, SwitchKeepsEachFibersRoundingModeAndLocals) {
+  // 1/7 rounds down to nearest in SSE double (MXCSR) and in x87 long
+  // double (control word) arithmetic, so FE_UPWARD changes both results.
+  volatile double one = 1.0, seven = 7.0;
+  const auto sse = [&] { return one / seven; };
+  const auto x87 = [&] {
+    return static_cast<long double>(one) / static_cast<long double>(seven);
+  };
+  const double sse_nearest = sse();
+  const long double x87_nearest = x87();
+  ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+
+  rt::fiber_scheduler sched;
+  int a_rounds = 0, b_rounds = 0;
+  sched.spawn([&] {
+    ASSERT_EQ(std::fesetround(FE_UPWARD), 0);
+    const double sse_up = sse();
+    const long double x87_up = x87();
+    ASSERT_GT(sse_up, sse_nearest);
+    ASSERT_GT(x87_up, x87_nearest);
+    std::uint64_t i0 = a_rounds + 1, i1 = i0 * 3, i2 = i1 * 5, i3 = i2 * 7;
+    double d0 = sse_up * 2, d1 = d0 * 2;
+    for (int r = 0; r < 5; ++r) {
+      rt::fiber_scheduler::yield();
+      EXPECT_EQ(std::fegetround(), FE_UPWARD) << "round " << r;
+      EXPECT_EQ(sse(), sse_up) << "round " << r;
+      EXPECT_EQ(x87(), x87_up) << "round " << r;
+      EXPECT_EQ(i3, i2 * 7);
+      EXPECT_EQ(i2, i1 * 5);
+      EXPECT_EQ(i1, i0 * 3);
+      EXPECT_EQ(d1, d0 * 2);
+      ++i0, i1 = i0 * 3, i2 = i1 * 5, i3 = i2 * 7, d0 += 1, d1 = d0 * 2;
+      ++a_rounds;
+    }
+    std::fesetround(FE_TONEAREST);
+  });
+  sched.spawn([&] {
+    std::uint64_t j0 = b_rounds + 2, j1 = j0 * 17, j2 = j1 * 19;
+    for (int r = 0; r < 5; ++r) {
+      EXPECT_EQ(std::fegetround(), FE_TONEAREST) << "round " << r;
+      EXPECT_EQ(sse(), sse_nearest) << "round " << r;
+      EXPECT_EQ(x87(), x87_nearest) << "round " << r;
+      EXPECT_EQ(j2, j1 * 19);
+      EXPECT_EQ(j1, j0 * 17);
+      j0 += 3, j1 = j0 * 17, j2 = j1 * 19;
+      ++b_rounds;
+      rt::fiber_scheduler::yield();
+    }
+  });
+  sched.run();
+  EXPECT_EQ(a_rounds, 5);
+  EXPECT_EQ(b_rounds, 5);
+  // The thread that stepped them kept its own mode throughout.
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
 }
 
 TEST(Fiber, WaitUntilResumesWhenConditionHolds) {
