@@ -3,14 +3,16 @@
 #
 #  tier1     full RelWithDebInfo build + the whole ctest suite
 #            (FFQ_OBSERVE=OFF, the default — the zero-cost
-#            configuration), then the bench smoke-regression gate:
-#            bench_batch_ops and bench_telemetry_overhead run in --quick
-#            mode and tools/bench_gate.py fails the leg when a median
-#            row ratio regresses more than 25% (tolerance rationale in
-#            bench_gate.py) — batch_ops against the committed
-#            BENCH_batch_ops.json, telemetry overhead as the run's own
-#            enabled/disabled ns/op, which no other host's baseline
-#            skews — and finally the repository benchmark's self-test
+#            configuration), then the bench smoke-regression gates:
+#            bench_batch_ops runs in --quick mode and tools/bench_gate.py
+#            fails the leg when the median row ratio against the
+#            committed BENCH_batch_ops.json drops more than 25%
+#            (tolerance rationale in bench_gate.py);
+#            bench_telemetry_overhead --quick gates itself — it exits 1
+#            when a row's enabled-policy median overhead over the
+#            disabled policy in the same run is >= 5% and outside the
+#            disabled runs' spread, so no other host's baseline skews
+#            it — and finally the repository benchmark's self-test
 #            (perfbench/run.py --selftest: exactly-once and FIFO output
 #            checks on every workload, traced and untraced, plus the
 #            drop/duplicate/swap corruption catches);
@@ -128,17 +130,15 @@ leg_tier1() {
     FFQ_SANITIZE_THREAD=OFF FFQ_SANITIZE_ADDRESS=OFF
   cmake --build build -j "$JOBS"
   ctest --test-dir build --output-on-failure -j "$JOBS"
-  echo "--- bench smoke gate: quick runs vs committed BENCH_*.json ---"
+  echo "--- bench smoke gates: batch_ops vs BENCH_batch_ops.json, telemetry budget ---"
   ./build/bench/bench_batch_ops --quick \
     --json build/bench_batch_ops.quick.json
   python3 tools/bench_gate.py --baseline BENCH_batch_ops.json \
     --current build/bench_batch_ops.quick.json \
     --key queue,batch,consumers --metric items_per_sec --direction higher
+  # Its own within-run overhead budget is the gate (exit 1 = over budget).
   ./build/bench/bench_telemetry_overhead --quick \
     --json build/bench_telemetry_overhead.quick.json
-  python3 tools/bench_gate.py --relative-to "disabled ns/op" \
-    --current build/bench_telemetry_overhead.quick.json \
-    --key queue --metric "enabled ns/op" --direction lower
   echo "--- repository benchmark self-test (perfbench) ---"
   python3 perfbench/run.py --selftest
 }

@@ -150,7 +150,8 @@ struct run_result {
 };
 
 /// Run one program over a freshly-constructed Queue under `driver`.
-/// Driver is anything with `int pick(const std::vector<int>&)`.
+/// Driver is anything with `int pick(const std::vector<int>& runnable,
+/// bool waiting)` that returns one of `runnable`, or -1 to stop the run.
 template <typename Queue, typename Driver>
 run_result run_program(const program_config& cfg, Driver& driver) {
   run_result res;
@@ -266,16 +267,16 @@ run_result run_program(const program_config& cfg, Driver& driver) {
   bool waiting = false;  // the last step ended a spin-wait round
   while (!runnable.empty()) {
     const int pick = driver.pick(runnable, waiting);
-    if (pick < 0) {
+    const auto at = std::find(runnable.begin(), runnable.end(), pick);
+    if (at == runnable.end()) {
       res.ok = false;
-      res.violation = "schedule: driver stopped before the program finished";
+      res.violation = "schedule: driver stopped, or picked a fiber that is "
+                      "not runnable, before the program finished";
       return res;
     }
     res.sched.picks.push_back(pick);
     tl_spinning = false;  // a mark left outside any fiber is not this one's
-    if (!sched.step(pick)) {
-      runnable.erase(std::find(runnable.begin(), runnable.end(), pick));
-    }
+    if (!sched.step(pick)) runnable.erase(at);
     waiting = tl_spinning;
     if (++res.steps > cfg.max_steps) {
       res.ok = false;

@@ -71,29 +71,6 @@ TEST(Fiber, SpawnFromInsideAFiber) {
   EXPECT_EQ(children, 4);
 }
 
-// step(i) runs exactly the fiber named, so a driver that is not
-// round-robin gets its order, and the same order twice gives the same log.
-TEST(Fiber, StepsFibersInExactlyTheOrderDriven) {
-  auto run = [](const std::vector<int>& picks) {
-    rt::fiber_scheduler sched;
-    std::vector<int> log;
-    for (int id = 0; id < 3; ++id) {
-      EXPECT_EQ(sched.spawn([&log, id] {
-        for (int round = 0; round < 3; ++round) {
-          log.push_back(10 * round + id);
-          rt::fiber_scheduler::yield();
-        }
-      }), id);
-    }
-    for (int p : picks) sched.step(p);
-    return log;
-  };
-  const std::vector<int> picks = {1, 1, 2, 0, 1, 0, 2, 2, 0, 1, 0};
-  EXPECT_EQ(run(picks), run(picks));
-  EXPECT_EQ(run(picks),
-            (std::vector<int>{1, 11, 2, 0, 21, 10, 12, 22, 20}));
-}
-
 // The switch keeps what the ABI makes callee-saved per fiber: A runs
 // rounding upward with live integer and floating-point locals, B runs in
 // the default mode, and each yields to the other several times.

@@ -24,19 +24,10 @@ mispaired memory order, a lost bulk path — cost 30%+). This is a smoke
 gate against large silent regressions, not a performance tracker; the
 trajectory lives in the committed BENCH_*.json files themselves.
 
-Within-run mode (--relative-to COLUMN instead of --baseline): each row of
-the current run contributes ratio = --metric / COLUMN from that same row,
-with the same median and tolerance. Use it where the two columns measure
-one workload in two configurations side by side (telemetry enabled vs
-disabled): a committed baseline from another host would compare the
-machines, while the within-run ratio compares only the configurations.
-
 Usage:
   bench_gate.py --baseline BENCH_batch_ops.json --current out.json \
       --key queue,batch,consumers [--metric items_per_sec] \
       [--direction higher] [--tolerance 0.25]
-  bench_gate.py --relative-to "disabled ns/op" --current out.json \
-      --key queue --metric "enabled ns/op" --direction lower
 
 Exit status: 0 pass, 1 regression or row mismatch, 2 usage/IO error.
 """
@@ -46,8 +37,7 @@ import statistics
 import sys
 
 
-def load(path, key_cols, metric, reference=None):
-    """Rows keyed by key_cols, valued by metric (or metric / reference)."""
+def load(path, key_cols, metric):
     with open(path) as f:
         doc = json.load(f)
     rows = {}
@@ -56,21 +46,13 @@ def load(path, key_cols, metric, reference=None):
         if key in rows:
             raise KeyError(f"{path}: --key does not identify rows "
                            f"uniquely ({dict(key)} repeats)")
-        val = float(row[metric])
-        if reference is not None:
-            ref = float(row[reference])
-            val = val / ref if ref > 0 else float("inf")
-        rows[key] = val
+        rows[key] = float(row[metric])
     return doc.get("experiment", "?"), rows
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    src = ap.add_mutually_exclusive_group(required=True)
-    src.add_argument("--baseline")
-    src.add_argument("--relative-to", metavar="COLUMN",
-                     help="gate the current run's own --metric / COLUMN "
-                          "row ratios instead of a baseline")
+    ap.add_argument("--baseline", required=True)
     ap.add_argument("--current", required=True)
     ap.add_argument("--key", required=True,
                     help="comma-separated columns identifying a row")
@@ -86,41 +68,30 @@ def main():
     key_cols = [c for c in args.key.split(",") if c]
 
     try:
-        name, cur = load(args.current, key_cols, args.metric,
-                         args.relative_to)
-        if args.baseline is not None:
-            base_name, base = load(args.baseline, key_cols, args.metric)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as e:
+        base_name, base = load(args.baseline, key_cols, args.metric)
+        cur_name, cur = load(args.current, key_cols, args.metric)
+    except (OSError, json.JSONDecodeError, KeyError) as e:
         print(f"bench_gate: cannot load inputs: {e}", file=sys.stderr)
         return 2
 
-    if args.relative_to is not None:
-        # The current rows already hold metric / reference.
-        what = f"{args.metric} / {args.relative_to}"
-        by_key = cur
-    else:
-        what = args.metric
-        if base_name != name:
-            print(f"bench_gate: experiment mismatch: baseline={base_name} "
-                  f"current={name}", file=sys.stderr)
-            return 1
-        missing = sorted(set(base) - set(cur))
-        if missing:
-            print(f"bench_gate: {name}: current run is missing "
-                  f"{len(missing)} baseline row(s), e.g. {dict(missing[0])}",
-                  file=sys.stderr)
-            return 1
-        by_key = {key: cur[key] / b if b > 0 else float("inf")
-                  for key, b in base.items()}
-    if not by_key:
-        print(f"bench_gate: {name}: no rows to compare", file=sys.stderr)
+    if base_name != cur_name:
+        print(f"bench_gate: experiment mismatch: baseline={base_name} "
+              f"current={cur_name}", file=sys.stderr)
+        return 1
+
+    missing = sorted(set(base) - set(cur))
+    if missing:
+        print(f"bench_gate: {base_name}: current run is missing "
+              f"{len(missing)} baseline row(s), e.g. {dict(missing[0])}",
+              file=sys.stderr)
         return 1
 
     ratios = []
-    for key, ratio in sorted(by_key.items()):
+    for key, base_val in sorted(base.items()):
+        ratio = cur[key] / base_val if base_val > 0 else float("inf")
         ratios.append(ratio)
         label = " ".join(f"{k}={v}" for k, v in key)
-        print(f"  {label:<44s} {what}: {ratio:6.2f}x")
+        print(f"  {label:<44s} {args.metric}: {ratio:6.2f}x")
 
     median = statistics.median(ratios)
     if args.direction == "higher":
@@ -131,7 +102,7 @@ def main():
         bound = 1.0 / (1.0 - args.tolerance)
         ok = median <= bound
         side = "ceiling"
-    print(f"bench_gate: {name}: median {what} ratio "
+    print(f"bench_gate: {base_name}: median {args.metric} ratio "
           f"{median:.2f}x over {len(ratios)} rows ({side} {bound:.2f}x) "
           f"-> {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
