@@ -22,7 +22,6 @@
 #include <atomic>
 #include <cassert>
 #include <cstdio>
-#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -117,60 +116,6 @@ double run_ffq_fanout_once(std::size_t consumers, std::size_t batch,
   return static_cast<double>(items) / window.seconds();
 }
 
-/// Single-consumer reference line over a try-API SPSC baseline.
-/// `Flush` force-publishes the producer side at stream end.
-template <typename Queue, typename Flush>
-double run_spsc_baseline_once(Queue& q, std::uint64_t items, Flush&& flush) {
-  ffq::runtime::spin_barrier barrier(3);
-  ffq::runtime::time_window_recorder window(2);
-
-  std::thread consumer([&] {
-    barrier.arrive_and_wait();
-    window.mark_start(0);
-    std::uint64_t v, count = 0;
-    ffq::runtime::yielding_backoff bo;
-    while (count < items) {
-      if (q.try_dequeue(v)) {
-        ++count;
-        bo.reset();
-      } else {
-        bo.pause();
-      }
-    }
-    window.mark_end(0);
-    barrier.arrive_and_wait();
-  });
-  std::thread producer([&] {
-    barrier.arrive_and_wait();
-    window.mark_start(1);
-    ffq::runtime::yielding_backoff bo;
-    for (std::uint64_t i = 1; i <= items;) {
-      if (q.try_enqueue(i)) {
-        ++i;
-        bo.reset();
-      } else {
-        bo.pause();
-      }
-    }
-    flush();
-    window.mark_end(1);
-    barrier.arrive_and_wait();
-  });
-
-  barrier.arrive_and_wait();
-  barrier.arrive_and_wait();
-  consumer.join();
-  producer.join();
-  return static_cast<double>(items) / window.seconds();
-}
-
-run_stats sample(int runs, const std::function<double()>& once) {
-  std::vector<double> s;
-  s.reserve(static_cast<std::size_t>(runs));
-  for (int r = 0; r < runs; ++r) s.push_back(once());
-  return summarize(s);
-}
-
 void add_row(table& t, const char* queue, std::size_t batch,
              std::size_t consumers, const run_stats& s) {
   t.add_row({queue, std::to_string(batch), std::to_string(consumers),
@@ -219,17 +164,24 @@ int main(int argc, char** argv) {
     });
     add_row(t, "ffq-spsc", batch, 1, s);
   }
+  const auto try_enq = [](auto& q, std::uint64_t v) {
+    return q.try_enqueue(v);
+  };
+  const auto try_deq = [](auto& q, std::uint64_t& v) {
+    return q.try_dequeue(v);
+  };
   for (std::size_t batch : batches) {
     const auto s = sample(cli.runs, [&] {
       baselines::mcring_queue<std::uint64_t> q(kCapacity, batch);
-      return run_spsc_baseline_once(q, items, [&] { q.flush_producer(); });
+      return stream_once(q, items, try_enq, try_deq,
+                         [](auto& q) { q.flush_producer(); });
     });
     add_row(t, "mcringbuffer", batch, 1, s);
   }
   {
     const auto s = sample(cli.runs, [&] {
       baselines::batchqueue<std::uint64_t> q(kCapacity);
-      return run_spsc_baseline_once(q, items, [&] {
+      return stream_once(q, items, try_enq, try_deq, [](auto& q) {
         while (!q.flush_producer()) std::this_thread::yield();
       });
     });

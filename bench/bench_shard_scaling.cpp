@@ -21,7 +21,6 @@
 #include <atomic>
 #include <cassert>
 #include <cstdio>
-#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -171,13 +170,6 @@ double run_fabric_once(std::size_t producers, std::uint64_t items) {
   assert(drained.load() == expect && "conservation");
   (void)drained;
   return static_cast<double>(expect) / window.seconds();
-}
-
-run_stats sample(int runs, const std::function<double()>& once) {
-  std::vector<double> s;
-  s.reserve(static_cast<std::size_t>(runs));
-  for (int r = 0; r < runs; ++r) s.push_back(once());
-  return summarize(s);
 }
 
 void add_row(table& t, const char* queue, std::size_t producers,

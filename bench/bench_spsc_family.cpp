@@ -6,77 +6,33 @@
 // the control-variable traffic differences the related-work section
 // discusses (shared counters vs batched counters vs in-band signalling
 // vs FFQ's rank/gap protocol).
-#include <atomic>
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <thread>
 
 #include "ffq/baselines/baselines.hpp"
 #include "ffq/core/ffq.hpp"
+#include "ffq/harness/driver.hpp"
 #include "ffq/harness/report.hpp"
 #include "ffq/harness/stats.hpp"
-#include "ffq/runtime/backoff.hpp"
-#include "ffq/runtime/barrier.hpp"
-#include "ffq/runtime/timing.hpp"
 
 using namespace ffq;
 using namespace ffq::harness;
 
 namespace {
 
-/// Generic streaming driver: `Enq(q, v)->bool try`, `Deq(q, &v)->bool`,
-/// `Flush(q)` at stream end.
-template <typename Q, typename Enq, typename Deq, typename Flush>
-double stream_once(Q& q, std::uint64_t items, Enq enq, Deq deq, Flush flush) {
-  runtime::spin_barrier barrier(3);
-  runtime::time_window_recorder window(2);
-  std::thread consumer([&] {
-    barrier.arrive_and_wait();
-    window.mark_start(0);
-    std::uint64_t out;
-    std::uint64_t received = 0;
-    runtime::yielding_backoff bo;
-    while (received < items) {
-      if (deq(q, out)) {
-        ++received;
-        bo.reset();
-      } else {
-        bo.pause();
-      }
-    }
-    window.mark_end(0);
-    barrier.arrive_and_wait();
-  });
-  std::thread producer([&] {
-    barrier.arrive_and_wait();
-    window.mark_start(1);
-    runtime::yielding_backoff bo;
-    for (std::uint64_t i = 1; i <= items; ++i) {
-      while (!enq(q, i)) bo.pause();
-    }
-    flush(q);
-    window.mark_end(1);
-    barrier.arrive_and_wait();
-  });
-  barrier.arrive_and_wait();
-  barrier.arrive_and_wait();
-  producer.join();
-  consumer.join();
-  return static_cast<double>(items) / window.seconds();
-}
-
+/// One 1p/1c stream per run over a fresh queue from `make()` (see
+/// harness::stream_once).
 template <typename MakeQ, typename Enq, typename Deq, typename Flush>
 void bench(table& t, const char* name, const bench_cli& cli, MakeQ make,
            Enq enq, Deq deq, Flush flush) {
-  const std::uint64_t items =
-      static_cast<std::uint64_t>(2'000'000 * cli.scale);
-  std::vector<double> samples;
-  for (int r = 0; r < cli.runs; ++r) {
+  const std::uint64_t items = std::max<std::uint64_t>(
+      static_cast<std::uint64_t>(2'000'000 * cli.scale), 10000);
+  const auto s = sample(cli.runs, [&] {
     auto q = make();
-    samples.push_back(stream_once(*q, std::max<std::uint64_t>(items, 10000),
-                                  enq, deq, flush));
-  }
-  const auto s = summarize(samples);
+    return stream_once(*q, items, enq, deq, flush);
+  });
   t.add_row({name, human_rate(s.mean) + "items/s", human_rate(s.stddev)});
   std::printf("done: %s\n", name);
 }

@@ -17,6 +17,8 @@
 // Think time is disabled (0 ns) so queue-operation cost is the entire
 // measurement: the overhead reported here is the worst case, real
 // workloads dilute it with actual work.
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -80,12 +82,18 @@ struct family_result {
   }
 };
 
+/// `min_pairs` is the row's floor on pairs per run, so that a run lasts
+/// a few tens of ms however small --scale or --quick make the workload
+/// (4-vCPU Xeon/KVM: spsc ~1.8, spmc ~5.6, mpmc ~70 ns/op). A ~1 ms run
+/// (200k spsc pairs) read the enabled policy up to 31% faster than the
+/// disabled one, which only adds work; runs of tens of ms do not.
 template <typename OffAdapter, typename OnAdapter>
-family_result measure(const char* family, int threads, const bench_cli& cli) {
+family_result measure(const char* family, int threads, std::uint64_t min_pairs,
+                      const bench_cli& cli) {
   pairwise_config cfg;
   cfg.threads = threads;
-  cfg.total_pairs = static_cast<std::uint64_t>(2'000'000 * cli.scale);
-  if (cfg.total_pairs < 20000) cfg.total_pairs = 20000;
+  cfg.total_pairs = std::max(
+      static_cast<std::uint64_t>(2'000'000 * cli.scale), min_pairs);
   cfg.think_min_ns = 0;  // no think time: measure pure queue-op cost
   cfg.think_max_ns = 0;
   cfg.params.capacity = 1 << 16;
@@ -136,16 +144,16 @@ int main(int argc, char** argv) {
   std::vector<family_result> results;
   results.push_back(
       measure<policy_adapter<spsc_q<observe::off>, kSpscOff>,
-              policy_adapter<spsc_q<observe::counters>, kSpscOn>>("ffq-spsc", 1,
-                                                                     cli));
+              policy_adapter<spsc_q<observe::counters>, kSpscOn>>(
+          "ffq-spsc", 1, 8'000'000, cli));
   results.push_back(
       measure<policy_adapter<spmc_q<observe::off>, kSpmcOff>,
-              policy_adapter<spmc_q<observe::counters>, kSpmcOn>>("ffq-spmc", 1,
-                                                                     cli));
+              policy_adapter<spmc_q<observe::counters>, kSpmcOn>>(
+          "ffq-spmc", 1, 3'000'000, cli));
   results.push_back(
       measure<policy_adapter<mpmc_q<observe::off>, kMpmcOff>,
-              policy_adapter<mpmc_q<observe::counters>, kMpmcOn>>("ffq-mpmc", 2,
-                                                                     cli));
+              policy_adapter<mpmc_q<observe::counters>, kMpmcOn>>(
+          "ffq-mpmc", 2, 400'000, cli));
 
   table t({"queue", "disabled ns/op", "disabled min-max", "enabled ns/op",
            "enabled min-max", "overhead %", "within noise"});

@@ -34,8 +34,8 @@
 #  check     FFQ_CHECK=ON build + full suite with live yield points,
 #            then check_explore end to end over the code that ships:
 #            delay-bounded DFS at bound 3 over every real queue shape
-#            (polling and blocking consumers, both fabric modes, the
-#            fabric stall shape), a seeded schedule fuzz of every shape
+#            (polling and blocking consumers, the fabric and its stall
+#            shape), a seeded schedule fuzz of every shape
 #            (--queue all), and a mutation gate: each of the six
 #            mutations must be caught at its bound, and its printed
 #            witness must reproduce the same violation under --replay.

@@ -230,9 +230,9 @@ class mpmc_queue
                 ? mutant_cas(c.rank(), detail::kCellFree, claim)
                 : c.rg.compare_exchange(expected, {claim, g})) {
           // The -2 reservation is now visible; the window before the
-          // publish below is Algorithm 2's non-wait-free wait (and the
-          // watchdog's stuck_producer state), so the checker gets a
-          // scheduling point inside it.
+          // publish below is Algorithm 2's non-wait-free wait (this
+          // rank's consumer and any producer reaching this cell wait it
+          // out), so the checker gets a scheduling point inside it.
           FFQ_CHECK_YIELD();
           std::construct_at(c.ptr(), std::move(value));
           FFQ_CHECK_YIELD();  // window between the data write and publication

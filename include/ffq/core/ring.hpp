@@ -8,8 +8,8 @@
 //     (the DWCAS-able pair) — both read through rank()/gap();
 //   * the ring state: capacity, cells, padded tail and head, the close
 //     snapshot, and the observer;
-//   * lifetime and introspection: destructor, close, capacity,
-//     approx_size, the watchdog trio and the counters;
+//   * lifetime and monitoring: destructor, close, capacity, approx_size
+//     and the counters;
 //   * three protocol routines: publish() (the single-producer cell loop),
 //     resolve_rank() (one claimed rank against its cell) and claim_run()
 //     (the multi-consumer head fetch-and-add).
@@ -44,13 +44,6 @@
 #include "ffq/runtime/dwcas.hpp"
 
 namespace ffq::core::detail {
-
-/// Racy diagnostic view of one cell's control fields, returned by the
-/// queues' inspect_rank() for the trace watchdog's post-mortem dumps.
-struct cell_probe {
-  std::int64_t rank = -1;
-  std::int64_t gap = -1;
-};
 
 inline constexpr std::int64_t kCellFree = -1;      ///< no item, claimable
 inline constexpr std::int64_t kCellReserved = -2;  ///< FFQ^m producer mid-write
@@ -165,10 +158,9 @@ class ring {
     return obs_;
   }
 
-  /// Watchdog introspection (racy, diagnostic only): the next rank a
-  /// consumer will take, the next rank a producer will place, and the
-  /// control fields of the cell a rank maps to (rank -2 = an FFQ^m
-  /// producer's in-flight reservation).
+ private:
+  /// Racy reads for approx_size(): the next rank a consumer will take
+  /// and the next rank a producer will place.
   std::int64_t head_rank() const noexcept {
     if constexpr (kSharedHead) {
       return head_->load(std::memory_order_relaxed);
@@ -181,13 +173,6 @@ class ring {
   }
   std::int64_t tail_rank() const noexcept {
     return tail_->load(std::memory_order_relaxed);
-  }
-  cell_probe inspect_rank(std::int64_t rank) const noexcept {
-    // Load-only: the cell accessors are non-const because the protocol
-    // stores through them.
-    auto& c = const_cast<ring*>(this)->cell_at(rank);
-    return {c.rank().load(std::memory_order_relaxed),
-            c.gap().load(std::memory_order_relaxed)};
   }
 
  protected:

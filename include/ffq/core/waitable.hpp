@@ -98,13 +98,6 @@ class waitable_spsc_queue {
   /// Diagnostic: waiters currently parked (racy).
   std::uint32_t approx_waiters() const noexcept { return ec_.approx_waiters(); }
 
-  /// Watchdog introspection, forwarded to the inner queue.
-  std::int64_t head_rank() const noexcept { return q_.head_rank(); }
-  std::int64_t tail_rank() const noexcept { return q_.tail_rank(); }
-  auto inspect_rank(std::int64_t rank) const noexcept {
-    return q_.inspect_rank(rank);
-  }
-
   /// One unified counter block for the whole stack: park/wake events are
   /// folded into the inner queue's observer.
   const ffq::observe::queue_observer<Observer>& telemetry() const noexcept {

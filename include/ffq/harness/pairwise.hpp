@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "ffq/harness/adapters.hpp"
+#include "ffq/harness/driver.hpp"
 #include "ffq/harness/stats.hpp"
 #include "ffq/runtime/affinity.hpp"
 #include "ffq/runtime/barrier.hpp"
@@ -126,14 +127,12 @@ double run_pairwise_once(const pairwise_config& cfg) {
 /// Repeat `runs` times and summarize (ops/s samples).
 template <typename Adapter>
 run_stats run_pairwise(const pairwise_config& cfg, int runs) {
-  std::vector<double> samples;
-  samples.reserve(static_cast<std::size_t>(runs));
-  for (int r = 0; r < runs; ++r) {
+  std::uint64_t r = 0;
+  return sample(runs, [&] {
     pairwise_config c = cfg;
-    c.seed = cfg.seed + static_cast<std::uint64_t>(r) * 977;
-    samples.push_back(run_pairwise_once<Adapter>(c));
-  }
-  return summarize(samples);
+    c.seed = cfg.seed + r++ * 977;
+    return run_pairwise_once<Adapter>(c);
+  });
 }
 
 }  // namespace ffq::harness

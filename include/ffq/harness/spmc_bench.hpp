@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "ffq/core/ffq.hpp"
+#include "ffq/harness/driver.hpp"
 #include "ffq/harness/stats.hpp"
 #include "ffq/runtime/affinity.hpp"
 #include "ffq/runtime/backoff.hpp"
@@ -201,12 +202,9 @@ double run_spmc_bench_once(const spmc_bench_config& cfg) {
 
 template <typename SubmissionQueue, typename Layout>
 run_stats run_spmc_bench(const spmc_bench_config& cfg, int runs) {
-  std::vector<double> samples;
-  samples.reserve(static_cast<std::size_t>(runs));
-  for (int r = 0; r < runs; ++r) {
-    samples.push_back(run_spmc_bench_once<SubmissionQueue, Layout>(cfg));
-  }
-  return summarize(samples);
+  return sample(runs, [&] {
+    return run_spmc_bench_once<SubmissionQueue, Layout>(cfg);
+  });
 }
 
 }  // namespace ffq::harness

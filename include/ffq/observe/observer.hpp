@@ -11,8 +11,8 @@
 //   counters  relaxed event counters (telemetry/counters.hpp,
 //             shard_counters.hpp) on the miss/contention paths only;
 //   trace     the counters plus one trace record per operation and per
-//             miss event (trace/tracer.hpp), for Perfetto export, the
-//             offline validator and the watchdog.
+//             miss event (trace/tracer.hpp), for Perfetto export and
+//             the offline validator.
 // Each event site in the queues makes exactly one observer call; the
 // observer fans it out to whichever sinks its level compiles in. The
 // CMake cache variable FFQ_OBSERVE=OFF|COUNTERS|TRACE only selects what

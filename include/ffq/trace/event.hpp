@@ -13,8 +13,8 @@
 //   word 3  packed [type:16 | queue:16 | dur:32] — event type, queue id
 //                  from the trace registry, and the operation duration in
 //                  TSC cycles saturated to 32 bits (~1.4 s at 3 GHz;
-//                  anything longer is a watchdog matter, not a tracing
-//                  one). Instant events carry dur = 0.
+//                  a longer operation reads as that maximum). Instant
+//                  events carry dur = 0.
 //
 // Duration events (enqueue/dequeue) describe one completed operation —
 // begin and end are folded into a single record (tsc + dur), which keeps

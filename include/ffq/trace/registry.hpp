@@ -49,9 +49,9 @@ class registry {
     return *c.ring;
   }
 
-  /// Rename a ring's display track. Serialized with snapshot_all() /
-  /// for_each_ring() through the registry mutex, because thread_snapshot
-  /// copies the name string.
+  /// Rename a ring's display track. Serialized with snapshot_all()
+  /// through the registry mutex, because thread_snapshot copies the name
+  /// string.
   void rename_ring(trace_ring& ring, std::string_view name) {
     std::lock_guard<std::mutex> lock(mu_);
     ring.set_name(std::string(name));
@@ -88,13 +88,6 @@ class registry {
     return out;
   }
 
-  /// Visit every live ring without copying (watchdog liveness sampling).
-  template <typename Fn>
-  void for_each_ring(Fn&& fn) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& r : rings_) fn(r);
-  }
-
   /// Capacity (power of two) of rings created after this call.
   void set_ring_capacity(std::size_t capacity) {
     std::lock_guard<std::mutex> lock(mu_);
@@ -128,8 +121,8 @@ class registry {
   std::atomic<std::uint64_t> generation_{1};
 };
 
-/// Name the calling thread's trace track (and watchdog identity), e.g.
-/// "producer-0" or "consumer-3". Last write wins.
+/// Name the calling thread's trace track, e.g. "producer-0" or
+/// "consumer-3". Last write wins.
 inline void set_thread_name(std::string_view name) {
   auto& reg = registry::instance();
   reg.rename_ring(reg.ring_for_this_thread(), name);

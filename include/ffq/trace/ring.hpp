@@ -4,9 +4,9 @@
 // Design constraints, in order:
 //   1. The writer is a queue hot path — pushing a record must be a few
 //      plain stores, no RMW, no branches that can wait (wait-free).
-//   2. The watchdog and the exporter read rings of *live* threads, so a
-//      concurrent read must be race-free in the C++ memory model and
-//      must detect slots it lost to the writer mid-copy.
+//   2. The exporter reads rings of *live* threads, so a concurrent read
+//      must be race-free in the C++ memory model and must detect slots
+//      it lost to the writer mid-copy.
 //   3. Bounded memory: fixed capacity, newest-N retained, oldest
 //      overwritten. Loss is observable (seq numbers are monotonic, so a
 //      gap in seq == dropped records), never silent.
@@ -39,7 +39,6 @@ struct thread_snapshot {
   std::uint32_t tid = 0;        ///< registry-assigned thread index
   std::string name;             ///< set_thread_name() or "thread-<tid>"
   std::uint64_t written = 0;    ///< total records the thread ever pushed
-  std::uint64_t progress = 0;   ///< last-progress epoch (dequeue count)
   std::vector<event_record> records;  ///< oldest-first, seq ascending
 };
 
@@ -85,17 +84,6 @@ class trace_ring {
     head_.store(seq, std::memory_order_release);
   }
 
-  /// Owner thread only: bump the liveness epoch the watchdog samples.
-  /// Called on every successful dequeue (see tracer.hpp).
-  void mark_progress() noexcept {
-    progress_.store(progress_.load(std::memory_order_relaxed) + 1,
-                    std::memory_order_relaxed);
-  }
-
-  std::uint64_t progress() const noexcept {
-    return progress_.load(std::memory_order_relaxed);
-  }
-
   /// Total records ever pushed (not capped by capacity).
   std::uint64_t written() const noexcept {
     return head_.load(std::memory_order_acquire);
@@ -109,7 +97,6 @@ class trace_ring {
     thread_snapshot out;
     out.tid = tid_;
     out.name = name_;
-    out.progress = progress();
     const std::uint64_t h = written();
     out.written = h;
     const std::uint64_t n = h < capacity() ? h : capacity();
@@ -156,8 +143,7 @@ class trace_ring {
   std::string name_;
   std::size_t mask_;
   std::vector<slot> slots_;
-  std::atomic<std::uint64_t> head_{0};      ///< records ever written
-  std::atomic<std::uint64_t> progress_{0};  ///< liveness epoch
+  std::atomic<std::uint64_t> head_{0};  ///< records ever written
 };
 
 }  // namespace ffq::trace

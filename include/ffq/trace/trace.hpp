@@ -7,12 +7,11 @@
 //   tracer.hpp    queue_tracer — the record emitter of the trace observer
 //   export.hpp    snapshot merge + Chrome Trace Event JSON ("ffq.trace.v1")
 //   validate.hpp  offline replay validator (FIFO / no-loss / no-dup)
-//   watchdog.hpp  liveness sampler + post-mortem queue-state dumps
 //   json_reader.hpp  strict RFC 8259 reader for trace_check / tests
 //
 // Queues only depend on event/ring/registry/tracer (all header-only,
 // compiled in only under the trace observer, observe/observer.hpp); the
-// exporter and watchdog are in the ffq_trace static library.
+// exporter is the ffq_trace static library.
 #pragma once
 
 #include "ffq/trace/event.hpp"        // IWYU pragma: export
@@ -22,4 +21,3 @@
 #include "ffq/trace/ring.hpp"      // IWYU pragma: export
 #include "ffq/trace/tracer.hpp"    // IWYU pragma: export
 #include "ffq/trace/validate.hpp"  // IWYU pragma: export
-#include "ffq/trace/watchdog.hpp"  // IWYU pragma: export

@@ -6,7 +6,7 @@
 // records into the calling thread's ring. One record per completed
 // operation — the begin timestamp is captured into a register with
 // `now()` and folded into the record at the end — so the hot path pays
-// one rdtsc, one thread_local lookup, and five atomic stores per traced
+// one rdtsc, one thread_local lookup, and six atomic stores per traced
 // operation, and nothing on the miss paths it does not take.
 //
 // The hooks that decide which record each event becomes are those of
@@ -29,13 +29,10 @@ class queue_tracer {
   /// Begin-of-operation timestamp, kept in a register by the caller.
   static std::uint64_t now() noexcept { return ffq::runtime::rdtsc(); }
 
-  /// Operation completed: one duration record, plus the liveness epoch
-  /// bump on the consume side (the watchdog's per-thread progress).
+  /// Operation completed: one duration record.
   void span(event_type t, std::uint64_t t0, std::int64_t rank) const noexcept {
     const std::uint32_t dur = saturate_dur(now() - t0);
-    auto& ring = registry::instance().ring_for_this_thread();
-    ring.push(t, id_, rank, t0, dur);
-    if (t == event_type::dequeue) ring.mark_progress();
+    registry::instance().ring_for_this_thread().push(t, id_, rank, t0, dur);
   }
 
   /// A zero-duration record stamped now.

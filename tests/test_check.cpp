@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -774,4 +775,53 @@ TEST(CheckQueues, RecordedScheduleReplaysToTheIdenticalRun) {
   EXPECT_EQ(again.streams, first.streams);
   EXPECT_EQ(again.steps, first.steps);
   EXPECT_EQ(again.sched, first.sched);
+}
+
+// run_program steps only a fiber that is still runnable. A driver that
+// picks anything else (an index no fiber has, or a fiber that already
+// finished) ends the run with a schedule violation; stepping on would
+// record a schedule that cannot replay.
+namespace {
+
+struct out_of_range_driver {
+  int pick(const std::vector<int>& /*runnable*/, bool /*waiting*/) {
+    return 99;  // a 1p/1c program has fibers 0 and 1
+  }
+};
+
+/// Steps the first runnable fiber until one finishes, then picks it.
+struct finished_fiber_driver {
+  std::vector<int> spawned;
+  int pick(const std::vector<int>& runnable, bool /*waiting*/) {
+    if (spawned.empty()) spawned = runnable;
+    for (int f : spawned) {
+      if (std::find(runnable.begin(), runnable.end(), f) == runnable.end()) {
+        return f;
+      }
+    }
+    return runnable.front();
+  }
+};
+
+}  // namespace
+
+TEST(CheckSched, OutOfRangePickEndsTheRunWithAScheduleViolation) {
+  out_of_range_driver d;
+  const auto r = chk::run_program<q_spsc>(small_cfg(1, 1), d);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.violation.rfind("schedule:", 0), 0u) << r.violation;
+  EXPECT_TRUE(r.sched.picks.empty());
+}
+
+TEST(CheckSched, PickOfAFinishedFiberEndsTheRunWithAScheduleViolation) {
+  auto cfg = small_cfg(1, 1);
+  cfg.items_per_producer = 2;  // fits the ring: the producer never waits
+  finished_fiber_driver d;
+  const auto r = chk::run_program<q_spsc>(cfg, d);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.violation.rfind("schedule:", 0), 0u) << r.violation;
+  // The producer (fiber 0) ran to its end before the bad pick.
+  ASSERT_FALSE(r.sched.picks.empty());
+  EXPECT_EQ(r.sched.picks.back(), 0);
+  EXPECT_EQ(r.enqueued.size(), 2u);
 }

@@ -56,6 +56,23 @@ TEST(MpmcQueue, CloseUnblocksConsumers) {
   EXPECT_EQ(drained.load(), 3);
 }
 
+// approx_size() is tail minus head: both ranks must move, one per
+// enqueue and one per dequeue.
+TEST(MpmcQueue, ApproxSizeTracksEnqueuesAndDequeues) {
+  mpmc_queue<int> q(8);
+  EXPECT_EQ(q.approx_size(), 0);
+  q.enqueue(10);
+  q.enqueue(20);
+  EXPECT_EQ(q.approx_size(), 2);
+  int out = 0;
+  ASSERT_TRUE(q.try_dequeue(out));
+  EXPECT_EQ(out, 10);
+  EXPECT_EQ(q.approx_size(), 1);
+  ASSERT_TRUE(q.try_dequeue(out));
+  EXPECT_EQ(out, 20);
+  EXPECT_EQ(q.approx_size(), 0);
+}
+
 TEST(MpmcQueue, DestructorReleasesUnconsumedItems) {
   auto counter = std::make_shared<int>(0);
   struct probe {

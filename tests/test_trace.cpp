@@ -2,10 +2,9 @@
 // snapshots), the registry, timestamp merging, the trace observer on real
 // queues (including one hook feeding both the counters and the records),
 // the offline validator, the Chrome trace export (golden file + RFC 8259
-// round-trip through the strict JSON reader), and the progress watchdog
-// (synthetic verdicts plus a live stuck-consumer demo). Everything
-// instantiates the trace observer explicitly, so the suite is meaningful
-// in every FFQ_OBSERVE build.
+// round-trip through the strict JSON reader). Everything instantiates the
+// trace observer explicitly, so the suite is meaningful in every
+// FFQ_OBSERVE build.
 #include "ffq/trace/trace.hpp"
 
 #include <gtest/gtest.h>
@@ -15,7 +14,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -152,14 +150,6 @@ TEST(TraceRing, WrapAroundKeepsNewestWithMonotonicSeqs) {
     EXPECT_EQ(snap.records[i].arg, static_cast<std::int64_t>(12 + i));
     EXPECT_EQ(snap.records[i].tsc, 112 + i);
   }
-}
-
-TEST(TraceRing, ProgressEpochCountsDequeues) {
-  trc::trace_ring ring(0, "p", 8);
-  EXPECT_EQ(ring.progress(), 0u);
-  ring.mark_progress();
-  ring.mark_progress();
-  EXPECT_EQ(ring.progress(), 2u);
 }
 
 // A snapshot taken while another thread hammers the ring must only ever
@@ -453,20 +443,6 @@ TEST(TraceQueues, BulkOperationsEmitPerItemRecords) {
   EXPECT_EQ(deq, 5u);
 }
 
-TEST(TraceQueues, DequeueBumpsProgressEpoch) {
-  auto& reg = trc::registry::instance();
-  reg.reset();
-  mpmc_q q(64);
-  q.enqueue(11);
-  q.enqueue(22);
-  u64 v = 0;
-  ASSERT_TRUE(q.try_dequeue(v));
-  ASSERT_TRUE(q.try_dequeue(v));
-  const auto snaps = reg.snapshot_all();
-  ASSERT_EQ(snaps.size(), 1u);
-  EXPECT_EQ(snaps[0].progress, 2u);
-}
-
 TEST(TraceQueues, WaitableEmitsParkAndWake) {
   auto& reg = trc::registry::instance();
   reg.reset();
@@ -647,7 +623,6 @@ std::vector<trc::thread_snapshot> golden_snapshots() {
   c.tid = 1;
   c.name = "consumer \"0\"\\path\n";  // exercises the JSON escaper
   c.written = 4;
-  c.progress = 2;
   c.records = {
       make_rec(1, 1500, trc::event_type::dequeue, 0, 0, 500),
       make_rec(2, 2000, trc::event_type::consumer_skip, 2, 0),  // tsc tie
@@ -807,238 +782,4 @@ TEST(TraceJsonReader, RejectsNonRfc8259Documents) {
   EXPECT_FALSE(trc::json::parse("{\"a\":\"\\ud800\"}").ok);  // lone surrogate
   EXPECT_FALSE(trc::json::parse("{\"a\":\"\x01\"}").ok);  // raw control char
   EXPECT_FALSE(trc::json::parse("").ok);
-}
-
-// ---------------------------------------------------------------------------
-// Watchdog: verdict classification on synthetic probes, then the live
-// stuck-consumer demo on a real traced queue.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// A fabricated probe describing an arbitrary queue state — classify()
-/// and the dump renderer are deterministic functions of this view.
-trc::queue_probe fake_probe(std::string name, std::int64_t head,
-                            std::int64_t tail, std::size_t capacity,
-                            trc::cell_view head_cell) {
-  trc::queue_probe p;
-  p.name = std::move(name);
-  p.head = [head] { return head; };
-  p.tail = [tail] { return tail; };
-  p.closed = [] { return false; };
-  p.capacity = [capacity] { return capacity; };
-  p.cell = [head, head_cell](std::int64_t rank) {
-    return rank == head ? head_cell : trc::cell_view{};
-  };
-  return p;
-}
-
-}  // namespace
-
-TEST(TraceWatchdog, ClassifiesStuckProducer) {
-  trc::registry::instance().reset();
-  trc::watchdog wd;
-  wd.add_probe(fake_probe("fake", 5, 10, 16, trc::cell_view{-2, -1}));
-  const std::string dump = wd.dump_now();
-  EXPECT_NE(dump.find("stuck_producer"), std::string::npos);
-  EXPECT_NE(dump.find("-2 reservation"), std::string::npos);
-}
-
-TEST(TraceWatchdog, ClassifiesLostRank) {
-  trc::registry::instance().reset();
-  trc::watchdog wd;
-  // Cell for rank 5 holds rank 9 and its gap (3) does not cover 5.
-  wd.add_probe(fake_probe("fake", 5, 10, 16, trc::cell_view{9, 3}));
-  const std::string dump = wd.dump_now();
-  EXPECT_NE(dump.find("lost_rank"), std::string::npos);
-  EXPECT_NE(dump.find("protocol"), std::string::npos);
-}
-
-TEST(TraceWatchdog, ClassifiesFullRingLivelock) {
-  trc::registry::instance().reset();
-  trc::watchdog wd;
-  wd.add_probe(fake_probe("fake", 4, 20, 16, trc::cell_view{4, -1}));
-  const std::string dump = wd.dump_now();
-  EXPECT_NE(dump.find("full_ring_livelock"), std::string::npos);
-}
-
-TEST(TraceWatchdog, DumpContainsQueueAndCellState) {
-  trc::registry::instance().reset();
-  trc::watchdog wd;
-  wd.add_probe(fake_probe("my-queue", 5, 10, 16, trc::cell_view{5, -1}));
-  const std::string dump = wd.dump_now();
-  EXPECT_NE(dump.find("queue my-queue: head=5 tail=10 pending=5 capacity=16"),
-            std::string::npos);
-  EXPECT_NE(dump.find("<- head"), std::string::npos);
-  EXPECT_NE(dump.find("<- tail"), std::string::npos);
-  EXPECT_NE(dump.find("=== end dump ==="), std::string::npos);
-}
-
-TEST(TraceWatchdog, NoProbesDumpIsOk) {
-  trc::registry::instance().reset();
-  trc::watchdog wd;
-  const std::string dump = wd.dump_now();
-  EXPECT_NE(dump.find("=== ffq watchdog: ok ==="), std::string::npos);
-}
-
-// Deterministic verdict tests: the test owns time through an injected
-// clock and is the only sampler (sample_once(), no sampler thread), so
-// every assertion below is a pure state-machine check — no sleeps, no
-// deadline polling, no dependence on machine load.
-
-namespace {
-
-/// Hand-cranked time source for watchdog::config::clock.
-struct fake_clock {
-  // Start well past the epoch so "age since baseline" arithmetic never
-  // underflows a default-constructed time_point.
-  std::chrono::steady_clock::time_point t{
-      std::chrono::steady_clock::time_point{} + std::chrono::hours(1)};
-  void advance(std::chrono::milliseconds d) { t += d; }
-  std::function<std::chrono::steady_clock::time_point()> fn() {
-    return [this] { return t; };
-  }
-};
-
-}  // namespace
-
-// The acceptance demo: a consumer that consumed, then silently stopped
-// with work pending. The watchdog must trigger, say stuck_consumer, and
-// name the frozen thread.
-TEST(TraceWatchdog, StuckConsumerIsDetectedAndNamedDeterministically) {
-  auto& reg = trc::registry::instance();
-  reg.reset();
-  spmc_q q(64);
-  for (u64 i = 1; i <= 10; ++i) q.enqueue(i);
-
-  std::thread consumer([&] {
-    trc::set_thread_name("lazy-consumer");
-    u64 v = 0;
-    // Consume a little, then "hang" (exit without draining): progress
-    // epoch > 0 and frozen, with pending work behind the head.
-    ASSERT_TRUE(q.try_dequeue(v));
-    ASSERT_TRUE(q.try_dequeue(v));
-  });
-  consumer.join();
-
-  fake_clock clock;
-  std::vector<std::string> dumps;
-  trc::watchdog::config cfg;
-  cfg.stall_threshold = std::chrono::milliseconds(40);
-  cfg.clock = clock.fn();
-  cfg.sink = [&](trc::verdict, const std::string& d) { dumps.push_back(d); };
-  trc::watchdog wd(std::move(cfg));
-  wd.add_probe(trc::make_queue_probe(q, "ffq-spmc#0"));
-
-  wd.sample_once();  // below threshold: arms ring-progress history only
-  EXPECT_EQ(wd.triggers(), 0u);
-
-  clock.advance(std::chrono::milliseconds(41));
-  wd.sample_once();  // head frozen past threshold with work pending
-  ASSERT_EQ(wd.triggers(), 1u);
-  EXPECT_EQ(wd.last_verdict(), trc::verdict::stuck_consumer);
-  ASSERT_EQ(dumps.size(), 1u);
-  EXPECT_NE(dumps[0].find("stuck_consumer"), std::string::npos);
-  EXPECT_NE(dumps[0].find("ffq-spmc#0"), std::string::npos);
-
-  // The post-mortem names the frozen consumer: its progress epoch is > 0
-  // and has not moved across the (fake) stall window.
-  const std::string post_mortem = wd.dump_now();
-  EXPECT_NE(post_mortem.find("lazy-consumer"), std::string::npos);
-  EXPECT_NE(post_mortem.find("STALLED CONSUMER"), std::string::npos);
-}
-
-TEST(TraceWatchdog, RecoversAndStaysQuietOncePerIncident) {
-  auto& reg = trc::registry::instance();
-  reg.reset();
-  spmc_q q(64);
-  q.enqueue(1);
-  q.enqueue(2);
-
-  fake_clock clock;
-  int fired = 0;
-  trc::watchdog::config cfg;
-  cfg.stall_threshold = std::chrono::milliseconds(30);
-  cfg.clock = clock.fn();
-  cfg.sink = [&](trc::verdict, const std::string&) { ++fired; };
-  trc::watchdog wd(std::move(cfg));
-  wd.add_probe(trc::make_queue_probe(q, "q"));
-
-  clock.advance(std::chrono::milliseconds(31));
-  wd.sample_once();
-  ASSERT_EQ(fired, 1);
-
-  // Same incident, more samples: once_per_incident keeps it at one dump.
-  for (int i = 0; i < 5; ++i) {
-    clock.advance(std::chrono::milliseconds(31));
-    wd.sample_once();
-  }
-  EXPECT_EQ(fired, 1);
-
-  // Head moves (incident clears), then freezes again with work pending:
-  // a second incident, a second dump.
-  u64 v = 0;
-  ASSERT_TRUE(q.try_dequeue(v));
-  wd.sample_once();  // observes the moved head, closes the incident
-  EXPECT_EQ(fired, 1);
-  clock.advance(std::chrono::milliseconds(31));
-  wd.sample_once();
-  EXPECT_EQ(fired, 2);
-}
-
-TEST(TraceWatchdog, FullRingLivelockVerdictDeterministically) {
-  trc::registry::instance().reset();
-  spmc_q q(4);
-  for (u64 i = 1; i <= 4; ++i) q.enqueue(i);  // ring full, nobody consumes
-
-  fake_clock clock;
-  trc::watchdog::config cfg;
-  cfg.stall_threshold = std::chrono::milliseconds(30);
-  cfg.clock = clock.fn();
-  cfg.sink = [](trc::verdict, const std::string&) {};
-  trc::watchdog wd(std::move(cfg));
-  wd.add_probe(trc::make_queue_probe(q, "full"));
-
-  clock.advance(std::chrono::milliseconds(31));
-  wd.sample_once();
-  EXPECT_EQ(wd.triggers(), 1u);
-  EXPECT_EQ(wd.last_verdict(), trc::verdict::full_ring_livelock);
-}
-
-TEST(TraceWatchdog, IdleQueueNeverTriggers) {
-  trc::registry::instance().reset();
-  spmc_q q(64);  // empty: tail == head
-  fake_clock clock;
-  trc::watchdog::config cfg;
-  cfg.stall_threshold = std::chrono::milliseconds(10);
-  cfg.clock = clock.fn();
-  cfg.sink = [](trc::verdict, const std::string&) {};
-  trc::watchdog wd(std::move(cfg));
-  wd.add_probe(trc::make_queue_probe(q, "idle"));
-  for (int i = 0; i < 10; ++i) {
-    clock.advance(std::chrono::milliseconds(100));
-    wd.sample_once();
-  }
-  EXPECT_EQ(wd.triggers(), 0u);
-  EXPECT_EQ(wd.last_verdict(), trc::verdict::ok);
-}
-
-// ---------------------------------------------------------------------------
-// Queue introspection feeding the probes.
-// ---------------------------------------------------------------------------
-
-TEST(TraceIntrospection, RanksAndCellsReflectQueueState) {
-  trc::registry::instance().reset();
-  mpmc_q q(8);
-  EXPECT_EQ(q.head_rank(), 0);
-  EXPECT_EQ(q.tail_rank(), 0);
-  q.enqueue(10);
-  q.enqueue(20);
-  EXPECT_EQ(q.head_rank(), 0);
-  EXPECT_EQ(q.tail_rank(), 2);
-  // Rank 0's cell holds rank 0 (published, unconsumed).
-  EXPECT_EQ(q.inspect_rank(0).rank, 0);
-  u64 v = 0;
-  ASSERT_TRUE(q.try_dequeue(v));
-  EXPECT_EQ(q.head_rank(), 1);
 }
