@@ -20,8 +20,8 @@
 // by BENCH_batch_ops.json, the repo's perf-trajectory baseline.
 #include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -111,8 +111,15 @@ double run_ffq_fanout_once(std::size_t consumers, std::size_t batch,
   barrier.arrive_and_wait();
   barrier.arrive_and_wait();
   for (auto& t : threads) t.join();
-  assert(drained.load() == items && "conservation");
-  (void)drained;
+  if (drained.load() != items) {
+    std::fprintf(stderr,
+                 "bench_batch_ops: conservation: %llu items enqueued, %llu "
+                 "dequeued (%zu consumers, batch %zu)\n",
+                 static_cast<unsigned long long>(items),
+                 static_cast<unsigned long long>(drained.load()), consumers,
+                 batch);
+    std::exit(1);
+  }
   return static_cast<double>(items) / window.seconds();
 }
 
@@ -135,8 +142,15 @@ int main(int argc, char** argv) {
       "fetch-and-add (dequeue_bulk) and tail publication (enqueue_bulk) "
       "against the scalar FFQ paths and the SPSC batching baselines.");
 
-  std::uint64_t items = static_cast<std::uint64_t>(1'000'000 * cli.scale);
-  if (items < 10000) items = 10000;
+  const auto items_scaled = static_cast<std::uint64_t>(1'000'000 * cli.scale);
+  // Each row's floor on items per run, so that a run lasts 15 ms or more
+  // however small --scale or --quick make the workload (4-vCPU Xeon/KVM:
+  // ffq-spmc batch 1-4 at 12-38M items/s, ffq-spmc batch 16-64 at
+  // 38-136M, ffq-spsc at 107-170M, mcringbuffer and batchqueue at
+  // 230-500M). At 100k items the fastest rows lasted under 0.5 ms.
+  const auto items_for = [&](std::uint64_t floor) {
+    return std::max(items_scaled, floor);
+  };
   constexpr std::size_t kCapacity = 1 << 16;
   const std::vector<std::size_t> batches = {1, 4, 16, 64};
   const std::vector<std::size_t> consumer_counts = {1, 2, 4, 8};
@@ -149,6 +163,7 @@ int main(int argc, char** argv) {
 
   for (std::size_t consumers : consumer_counts) {
     for (std::size_t batch : batches) {
+      const std::uint64_t items = items_for(batch < 16 ? 500'000 : 3'000'000);
       const auto s = sample(cli.runs, [&] {
         return run_ffq_fanout_once<spmc>(consumers, batch, items, kCapacity);
       });
@@ -159,6 +174,7 @@ int main(int argc, char** argv) {
   // SPSC lines: FFQ's own SPSC specialization plus the two batching
   // baselines the amortization argument is borrowed from.
   for (std::size_t batch : batches) {
+    const std::uint64_t items = items_for(4'000'000);
     const auto s = sample(cli.runs, [&] {
       return run_ffq_fanout_once<spsc>(1, batch, items, kCapacity);
     });
@@ -170,10 +186,11 @@ int main(int argc, char** argv) {
   const auto try_deq = [](auto& q, std::uint64_t& v) {
     return q.try_dequeue(v);
   };
+  const std::uint64_t baseline_items = items_for(8'000'000);
   for (std::size_t batch : batches) {
     const auto s = sample(cli.runs, [&] {
       baselines::mcring_queue<std::uint64_t> q(kCapacity, batch);
-      return stream_once(q, items, try_enq, try_deq,
+      return stream_once(q, baseline_items, try_enq, try_deq,
                          [](auto& q) { q.flush_producer(); });
     });
     add_row(t, "mcringbuffer", batch, 1, s);
@@ -181,7 +198,7 @@ int main(int argc, char** argv) {
   {
     const auto s = sample(cli.runs, [&] {
       baselines::batchqueue<std::uint64_t> q(kCapacity);
-      return stream_once(q, items, try_enq, try_deq, [](auto& q) {
+      return stream_once(q, baseline_items, try_enq, try_deq, [](auto& q) {
         while (!q.flush_producer()) std::this_thread::yield();
       });
     });

@@ -87,9 +87,15 @@ struct family_result {
 /// (4-vCPU Xeon/KVM: spsc ~1.8, spmc ~5.6, mpmc ~70 ns/op). A ~1 ms run
 /// (200k spsc pairs) read the enabled policy up to 31% faster than the
 /// disabled one, which only adds work; runs of tens of ms do not.
+/// `min_reps` is the row's floor on runs per policy. When two identical
+/// policies are compared, the enabled median falls outside the disabled
+/// runs' min-max with probability up to C(n,(n+1)/2)/C(2n,(n+1)/2) over
+/// n runs each: 1/12 at n = 5, 1/68 at n = 9. That is when the 5% budget
+/// can fail identical code, and the noisy 2-thread mpmc row is where
+/// it did.
 template <typename OffAdapter, typename OnAdapter>
 family_result measure(const char* family, int threads, std::uint64_t min_pairs,
-                      const bench_cli& cli) {
+                      int min_reps, const bench_cli& cli) {
   pairwise_config cfg;
   cfg.threads = threads;
   cfg.total_pairs = std::max(
@@ -108,7 +114,7 @@ family_result measure(const char* family, int threads, std::uint64_t min_pairs,
   // repo's CI containers are 1-2 shared cores) is visible in the table
   // instead of silently baked into a single point estimate.
   std::vector<double> off_ops, on_ops;
-  const int reps = std::max(cli.runs, 5);
+  const int reps = std::max(cli.runs, min_reps);
   for (int r = 0; r < reps; ++r) {
     pairwise_config c = cfg;
     c.seed = cfg.seed + static_cast<std::uint64_t>(r) * 977;
@@ -145,15 +151,15 @@ int main(int argc, char** argv) {
   results.push_back(
       measure<policy_adapter<spsc_q<observe::off>, kSpscOff>,
               policy_adapter<spsc_q<observe::counters>, kSpscOn>>(
-          "ffq-spsc", 1, 8'000'000, cli));
+          "ffq-spsc", 1, 8'000'000, 5, cli));
   results.push_back(
       measure<policy_adapter<spmc_q<observe::off>, kSpmcOff>,
               policy_adapter<spmc_q<observe::counters>, kSpmcOn>>(
-          "ffq-spmc", 1, 3'000'000, cli));
+          "ffq-spmc", 1, 3'000'000, 5, cli));
   results.push_back(
       measure<policy_adapter<mpmc_q<observe::off>, kMpmcOff>,
               policy_adapter<mpmc_q<observe::counters>, kMpmcOn>>(
-          "ffq-mpmc", 2, 400'000, cli));
+          "ffq-mpmc", 2, 400'000, 9, cli));
 
   table t({"queue", "disabled ns/op", "disabled min-max", "enabled ns/op",
            "enabled min-max", "overhead %", "within noise"});

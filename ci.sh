@@ -19,18 +19,22 @@
 #  telemetry the same build + full suite with FFQ_OBSERVE=COUNTERS, so
 #            the counting default observer stays green too;
 #  trace     full build + suite with FFQ_OBSERVE=TRACE (counters plus
-#            trace records from the same hooks), then an end-to-end check: the
-#            MPMC trace_stress tool exports a Perfetto trace that
-#            trace_check must validate (per-producer FIFO, no loss, no
-#            duplication);
+#            trace records from the same hooks), then an end-to-end run:
+#            the traced MPMC trace_stress tool checks its own run
+#            (exactly once, per-producer FIFO, one trace record per
+#            operation, none dropped; exit 1 on a violation) and exports
+#            a Perfetto trace, which Python's json module must load as
+#            strict JSON (no NaN/Infinity) with schema "ffq.trace.v1";
 #  tsan      the core queue + shard + telemetry suites rebuilt with
 #            -fsanitize=thread (FFQ_OBSERVE=COUNTERS, so the instrumented
 #            hot paths are the ones checked) and run to completion, plus
-#            trace_stress as a multi-threaded race hunt —
-#            halt_on_error=1 turns any reported race into failure;
+#            trace_stress as a multi-threaded race hunt that must also
+#            pass its own verdict — halt_on_error=1 turns any reported
+#            race into failure;
 #  asan      the same binaries under -fsanitize=address,undefined
 #            (-fno-sanitize-recover=all, so UB aborts too): buffer and
-#            lifetime bugs the race hunt can't see;
+#            lifetime bugs the race hunt can't see; trace_stress's
+#            verdict must pass here too;
 #  check     FFQ_CHECK=ON build + full suite with live yield points,
 #            then check_explore end to end over the code that ships:
 #            delay-bounded DFS at bound 3 over every real queue shape
@@ -153,11 +157,15 @@ leg_trace() {
   configure trace build-trace FFQ_OBSERVE=TRACE
   cmake --build build-trace -j "$JOBS"
   ctest --test-dir build-trace --output-on-failure -j "$JOBS"
-  echo "--- trace end-to-end: MPMC stress -> Perfetto export -> trace_check ---"
+  echo "--- trace end-to-end: checked MPMC stress -> Perfetto export -> strict JSON ---"
   local trace_out="build-trace/ci_mpmc_trace.json"
   ./build-trace/tools/trace_stress --trace="$trace_out" \
     --producers=2 --consumers=2 --items=4000
-  ./build-trace/tools/trace_check --expect-drained "$trace_out"
+  python3 -c 'import json, sys
+doc = json.load(open(sys.argv[1]), parse_constant=lambda c: sys.exit("not JSON: " + c))
+sys.exit(0 if doc.get("schema") == "ffq.trace.v1" else "schema is %r" % doc.get("schema"))
+' "$trace_out"
+  echo "$trace_out: strict JSON, schema ffq.trace.v1"
 }
 
 # The binaries both sanitizer legs build and run: the scalar queue

@@ -3,7 +3,8 @@
 // Three layers, cheapest first:
 //
 //  1. conservation — every enqueued value dequeued exactly once, nothing
-//     invented, nothing lost (the trace_check oracle, applied per run);
+//     invented, nothing lost (tools/trace_stress runs layers 1 and 2
+//     on a real multi-threaded run too);
 //  2. per-producer FIFO — each consumer's stream, restricted to one
 //     producer, is increasing in that producer's sequence numbers (the
 //     paper's order guarantee survives gap-skipping);

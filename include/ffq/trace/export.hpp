@@ -21,8 +21,8 @@
 // One event per line, keys in a fixed order, all strings escaped through
 // telemetry::json_escape (the repo's single RFC 8259 writer) — the
 // output is byte-stable for a given input, which makes it golden-file
-// testable (tests/golden/trace_v1.json) and trivially parseable by
-// tools/trace_check.
+// testable (tests/golden/trace_v1.json) and parseable by any strict JSON
+// reader (the CI trace leg loads it with Python's).
 //
 // Timestamps: ts = (tsc - base) / ticks_per_us, microseconds with 3
 // decimals (nanosecond display resolution). ticks_per_us defaults to the

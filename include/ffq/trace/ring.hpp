@@ -91,7 +91,7 @@ class trace_ring {
 
   /// Copy the newest ≤ capacity records, any thread, writer may be live.
   /// Slots the writer overwrote mid-copy are simply omitted; the seq
-  /// numbering lets consumers (and trace_check) see exactly what was
+  /// numbering lets readers (written vs records) see exactly what was
   /// lost. Records are returned oldest-first in seq order.
   thread_snapshot snapshot() const {
     thread_snapshot out;

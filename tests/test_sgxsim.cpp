@@ -5,9 +5,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
-#include <fstream>
 #include <set>
-#include <sstream>
 #include <string>
 #include <thread>
 
@@ -15,7 +13,6 @@
 #include "ffq/sgxsim/enclave.hpp"
 #include "ffq/sgxsim/syscall_service.hpp"
 #include "ffq/telemetry/registry.hpp"
-#include "ffq/trace/json_reader.hpp"
 #include "ffq/trace/registry.hpp"
 
 using namespace ffq::sgxsim;
@@ -231,18 +228,11 @@ TEST_P(SyscallServiceVariant, NamesItsTraceThreads) {
   cfg.trace_path = ::testing::TempDir() + "ffq_sgxsim_names_" +
                    std::to_string(static_cast<int>(v)) + ".json";
   run_syscall_service(cfg);
+  EXPECT_EQ(std::remove(cfg.trace_path.c_str()), 0) << "no trace written";
 
-  std::ifstream in(cfg.trace_path);
-  std::stringstream text;
-  text << in.rdbuf();
-  std::remove(cfg.trace_path.c_str());
-  const auto doc = ffq::trace::json::parse(text.str());
-  ASSERT_TRUE(doc.ok) << doc.error;
   std::set<std::string> names;
-  for (const auto& ev : doc.root["traceEvents"].as_array()) {
-    if (ev["ph"].as_string() == "M" && ev["name"].as_string() == "thread_name") {
-      names.insert(ev["args"]["name"].as_string());
-    }
+  for (const auto& s : ffq::trace::registry::instance().snapshot_all()) {
+    names.insert(s.name);
   }
   EXPECT_EQ(names.count("app-0"), 1u);
   EXPECT_EQ(names.count("os-0"), queued(v) ? 1u : 0u);
