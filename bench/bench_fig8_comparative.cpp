@@ -14,6 +14,7 @@
 // Default workload is 10^6 pairs (×--scale to reach the paper's 10^7):
 // the shape — who wins at which thread count — is what the figure is
 // about, and it stabilizes well below 10^7 pairs on one machine.
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -64,10 +65,10 @@ int main(int argc, char** argv) {
 
   // Single-thread reference lines (paper: "The throughput values
   // indicated for SPSC and SPMC are for single-threaded runs").
-  bench_queue<ffq_spsc_adapter<>>(t, cli, {1});
-  bench_queue<ffq_spmc_adapter<>>(t, cli, {1});
+  bench_queue<ffq_adapter<core::spsc_queue<std::uint64_t>>>(t, cli, {1});
+  bench_queue<ffq_adapter<core::spmc_queue<std::uint64_t>>>(t, cli, {1});
 
-  bench_queue<ffq_mpmc_adapter<>>(t, cli, threads);
+  bench_queue<ffq_adapter<core::mpmc_queue<std::uint64_t>>>(t, cli, threads);
   bench_queue<wf_adapter>(t, cli, threads);
   bench_queue<lcrq_adapter>(t, cli, threads);
   bench_queue<cc_adapter>(t, cli, threads);

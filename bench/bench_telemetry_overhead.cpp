@@ -35,29 +35,16 @@ using namespace ffq::harness;
 
 namespace {
 
-template <typename Q, const char* Name>
-struct policy_adapter {
-  using queue_type = Q;
-  struct context {};
-  static const char* name() { return Name; }
-  static queue_type* create(const bench_params& p) {
-    return new queue_type(p.capacity);
-  }
-  static context make_context(queue_type&, int) { return {}; }
-  static void enqueue(queue_type& q, context&, std::uint64_t v) {
-    q.enqueue(v);
-  }
-  static bool dequeue(queue_type& q, context&, std::uint64_t& out) {
-    return q.dequeue(out);
-  }
-};
-
-constexpr char kSpscOff[] = "spsc/off";
-constexpr char kSpscOn[] = "spsc/on";
-constexpr char kSpmcOff[] = "spmc/off";
-constexpr char kSpmcOn[] = "spmc/on";
-constexpr char kMpmcOff[] = "mpmc/off";
-constexpr char kMpmcOn[] = "mpmc/on";
+// The shared adapter, through a type local to this file: the pairwise
+// loops then stay internal and inline into the threads' entry points.
+// Instantiated on ffq_adapter directly, the disabled spsc loop landed at
+// another code alignment and ran faster than the enabled one, whose
+// instructions did not change: median spsc overhead +5.5% and +6.5% in
+// two sets of 10 interleaved --quick runs, +2.6% and +2.9% through this
+// type (4-vCPU Xeon/KVM). At ~2 ns/op the loop is front-end bound, and
+// the 5% budget reads its placement.
+template <typename Queue>
+struct local_adapter : ffq_adapter<Queue> {};
 
 template <typename Observer>
 using spsc_q = core::spsc_queue<std::uint64_t, core::layout_aligned, Observer>;
@@ -87,15 +74,17 @@ struct family_result {
 /// (4-vCPU Xeon/KVM: spsc ~1.8, spmc ~5.6, mpmc ~70 ns/op). A ~1 ms run
 /// (200k spsc pairs) read the enabled policy up to 31% faster than the
 /// disabled one, which only adds work; runs of tens of ms do not.
-/// `min_reps` is the row's floor on runs per policy. When two identical
+/// kMinReps is every row's floor on runs per policy. When two identical
 /// policies are compared, the enabled median falls outside the disabled
 /// runs' min-max with probability up to C(n,(n+1)/2)/C(2n,(n+1)/2) over
 /// n runs each: 1/12 at n = 5, 1/68 at n = 9. That is when the 5% budget
-/// can fail identical code, and the noisy 2-thread mpmc row is where
-/// it did.
-template <typename OffAdapter, typename OnAdapter>
-family_result measure(const char* family, int threads, std::uint64_t min_pairs,
-                      int min_reps, const bench_cli& cli) {
+/// can fail identical code: at 5 reps it did, on the 2-thread mpmc row
+/// and on both 1-thread rows.
+constexpr int kMinReps = 9;
+
+template <typename OffQueue, typename OnQueue>
+family_result measure(int threads, std::uint64_t min_pairs,
+                      const bench_cli& cli) {
   pairwise_config cfg;
   cfg.threads = threads;
   cfg.total_pairs = std::max(
@@ -105,7 +94,7 @@ family_result measure(const char* family, int threads, std::uint64_t min_pairs,
   cfg.params.capacity = 1 << 16;
 
   // Interleave OFF/ON runs so slow drift (thermal, noisy neighbours)
-  // hits both policies equally, and compare median-of-N (N >= 5): the
+  // hits both policies equally, and compare median-of-N (N >= 9): the
   // earlier best-of-N comparison routinely reported *negative* overhead,
   // because the minimum is an extreme-value statistic — whichever policy
   // got lucky with the least-perturbed run "won" regardless of its true
@@ -114,18 +103,18 @@ family_result measure(const char* family, int threads, std::uint64_t min_pairs,
   // repo's CI containers are 1-2 shared cores) is visible in the table
   // instead of silently baked into a single point estimate.
   std::vector<double> off_ops, on_ops;
-  const int reps = std::max(cli.runs, min_reps);
+  const int reps = std::max(cli.runs, kMinReps);
   for (int r = 0; r < reps; ++r) {
     pairwise_config c = cfg;
     c.seed = cfg.seed + static_cast<std::uint64_t>(r) * 977;
-    off_ops.push_back(run_pairwise_once<OffAdapter>(c));
-    on_ops.push_back(run_pairwise_once<OnAdapter>(c));
+    off_ops.push_back(run_pairwise_once<local_adapter<OffQueue>>(c));
+    on_ops.push_back(run_pairwise_once<local_adapter<OnQueue>>(c));
   }
 
   const auto off = summarize(off_ops);
   const auto on = summarize(on_ops);
   family_result res;
-  res.family = family;
+  res.family = OffQueue::kName;
   res.off_ns_med = 1e9 / off.median;
   res.on_ns_med = 1e9 / on.median;
   res.off_ns_min = 1e9 / off.max;  // max ops/s == min ns/op
@@ -133,7 +122,7 @@ family_result measure(const char* family, int threads, std::uint64_t min_pairs,
   res.on_ns_min = 1e9 / on.max;
   res.on_ns_max = 1e9 / on.min;
   res.overhead_pct = (res.on_ns_med / res.off_ns_med - 1.0) * 100.0;
-  std::printf("done: %s (%d thread%s)\n", family, threads,
+  std::printf("done: %s (%d thread%s)\n", OffQueue::kName, threads,
               threads == 1 ? "" : "s");
   return res;
 }
@@ -148,18 +137,12 @@ int main(int argc, char** argv) {
       "in one binary. disabled == pre-telemetry baseline by construction.");
 
   std::vector<family_result> results;
-  results.push_back(
-      measure<policy_adapter<spsc_q<observe::off>, kSpscOff>,
-              policy_adapter<spsc_q<observe::counters>, kSpscOn>>(
-          "ffq-spsc", 1, 8'000'000, 5, cli));
-  results.push_back(
-      measure<policy_adapter<spmc_q<observe::off>, kSpmcOff>,
-              policy_adapter<spmc_q<observe::counters>, kSpmcOn>>(
-          "ffq-spmc", 1, 3'000'000, 5, cli));
-  results.push_back(
-      measure<policy_adapter<mpmc_q<observe::off>, kMpmcOff>,
-              policy_adapter<mpmc_q<observe::counters>, kMpmcOn>>(
-          "ffq-mpmc", 2, 400'000, 9, cli));
+  results.push_back(measure<spsc_q<observe::off>, spsc_q<observe::counters>>(
+      1, 8'000'000, cli));
+  results.push_back(measure<spmc_q<observe::off>, spmc_q<observe::counters>>(
+      1, 3'000'000, cli));
+  results.push_back(measure<mpmc_q<observe::off>, mpmc_q<observe::counters>>(
+      2, 400'000, cli));
 
   table t({"queue", "disabled ns/op", "disabled min-max", "enabled ns/op",
            "enabled min-max", "overhead %", "within noise"});

@@ -42,7 +42,9 @@
 #            shape), a seeded schedule fuzz of every shape
 #            (--queue all), and a mutation gate: each of the six
 #            mutations must be caught at its bound, and its printed
-#            witness must reproduce the same violation under --replay.
+#            witness must reproduce the same violation under --replay
+#            (skip_line29_recheck twice: through the spmc claim and the
+#            spsc private-head scan, the two consumers of its one site).
 #            The leg prints the wall time of its check_explore steps.
 #            The two steps cover both cell layouts: check_explore runs
 #            each queue on its library default (packed spsc/spmc/waitable
@@ -224,12 +226,13 @@ leg_check() {
   local spec m b out sched violation rc
   for spec in publish_before_data:spmc_blocking:2 \
               skip_line29_recheck:spmc_blocking:2 \
+              skip_line29_recheck:spsc_blocking:2 \
               claim_publishes_directly:mpmc_blocking:2 \
               gap_ignores_rank:mpmc_blocking:3 \
               claim_ignores_gap:mpmc_blocking:2 \
               throttle_ignores_rank_order:mpmc_blocking:2; do
     IFS=: read -r m q b <<< "$spec"
-    out="build-check/mutation_$m.out"
+    out="build-check/mutation_${m}_$q.out"
     rc=0
     "$ce" --queue "$q" --mutate "$m" --bound "$b" > "$out" || rc=$?
     head -n 2 "$out"

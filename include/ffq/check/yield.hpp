@@ -57,8 +57,9 @@ enum class mutation {
   /// ring::publish stores the rank before the data (Alg. 1 lines 16/17
   /// swapped): a consumer can take a cell whose data was never written.
   publish_before_data,
-  /// ring::resolve_rank and spsc take skip a rank on gap ≥ rank without
-  /// re-checking the rank (Alg. 1 line 29): a just-published item is lost.
+  /// ring::resolve_rank, every consumer's rank-resolve, skips a rank on
+  /// gap ≥ rank without re-checking the rank (Alg. 1 line 29): a
+  /// just-published item is lost.
   skip_line29_recheck,
   /// mpmc place_at_rank claims a free cell by writing its rank at once,
   /// with no -2 reservation: the data is written after publication.

@@ -32,7 +32,6 @@
 #include "ffq/check/yield.hpp"
 #include "ffq/core/layout.hpp"
 #include "ffq/core/ring.hpp"
-#include "ffq/runtime/backoff.hpp"
 #include "ffq/runtime/dwcas.hpp"
 
 namespace ffq::core {
@@ -145,23 +144,14 @@ class mpmc_queue
   /// True: value moved into the cell and published. False: the rank died
   /// — covered by another producer's gap, or turned into a gap by this
   /// call — and the caller must draw a fresh rank for the same value.
-  bool place_at_rank(std::int64_t rank, T& value,
-                     std::size_t& gaps_this_call) noexcept {
+  /// Out of line, where the compiler put it while its waits were written
+  /// out by hand: the shared waiter made it small enough to inline into
+  /// both enqueues, a producer code change nothing here measured.
+  [[gnu::noinline]] bool place_at_rank(std::int64_t rank, T& value,
+                                       std::size_t& gaps_this_call) noexcept {
     const std::uint64_t t0 = obs_.now();
     auto& c = cell_at(rank);
-    ffq::runtime::yielding_backoff backoff;
-    // Spin counts accumulate in registers and flush once per
-    // return — one RMW per episode, not one per pause. The wait loops
-    // below also flush every kFlushEvery pauses so a producer stuck on a
-    // full ring stays visible to live snapshots.
-    std::uint64_t stalls = 0, pauses = 0, retries = 0;
-    bool stall_traced = false;
-    const auto flush_waits = [&]() noexcept {
-      obs_.on_full_stalls(stalls);
-      obs_.on_backoff_pauses(pauses);
-      obs_.on_dwcas_retries(retries);
-      stalls = pauses = retries = 0;
-    };
+    detail::waiter wait(obs_);  // one stall episode per call
     for (;;) {
       FFQ_CHECK_YIELD();  // scheduling point: one placement round
       const std::int64_t g = c.gap().load(std::memory_order_acquire);
@@ -169,7 +159,6 @@ class mpmc_queue
         // Our rank is already "in the past" at this cell (another
         // producer announced a gap covering it): abandon the rank —
         // consumers skip it via the same gap — and draw a fresh one.
-        flush_waits();
         return false;
       }
       const std::int64_t r = c.rank().load(std::memory_order_acquire);
@@ -193,14 +182,8 @@ class mpmc_queue
           // throttle_ignores_rank_order drops the condition, and
           // ModelAlg2.ThrottleDeadlockRegressionIsCaught in
           // tests/test_check.cpp must catch the deadlock.)
-          ++stalls;
-          if (!stall_traced) {  // one instant per episode, not per pause
-            obs_.on_full_stall(rank);
-            stall_traced = true;
-          }
-          if (ffq::telemetry::flush_due(stalls)) flush_waits();
-          FFQ_CHECK_SPIN();
-          backoff.pause();
+          wait.first_stall(rank);
+          wait.stall();
           continue;
         }
         // Occupied by an unconsumed item: announce the gap. The DWCAS
@@ -212,11 +195,9 @@ class mpmc_queue
                 : c.rg.compare_exchange(expected, {r, rank})) {
           obs_.on_gap(rank);
           ++gaps_this_call;
-          flush_waits();
           return false;  // gap announced for our rank; acquire a new rank
         }
-        ++retries;
-        obs_.on_dwcas_retry(rank);
+        wait.dwcas_retry(rank);
         continue;
       }
       if (r == detail::kCellFree) {
@@ -238,20 +219,15 @@ class mpmc_queue
           FFQ_CHECK_YIELD();  // window between the data write and publication
           // Publish.
           if (!direct) c.rank().store(rank, std::memory_order_release);
-          flush_waits();
           obs_.on_enqueue(t0, rank);
           return true;
         }
-        ++retries;
-        obs_.on_dwcas_retry(rank);
+        wait.dwcas_retry(rank);
         continue;
       }
       // r == kCellReserved: another producer is between its claim and
       // its publish; wait for it (this is the non-wait-free window).
-      ++pauses;
-      if (ffq::telemetry::flush_due(pauses)) flush_waits();
-      FFQ_CHECK_SPIN();
-      backoff.pause();
+      wait.pause();
     }
   }
 

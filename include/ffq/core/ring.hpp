@@ -11,8 +11,9 @@
 //   * lifetime and monitoring: destructor, close, capacity, approx_size
 //     and the counters;
 //   * three protocol routines: publish() (the single-producer cell loop),
-//     resolve_rank() (one claimed rank against its cell) and claim_run()
-//     (the multi-consumer head fetch-and-add).
+//     resolve_rank() (one rank against its cell, the consumer side of
+//     every queue) and claim_run() (the multi-consumer head fetch-and-add);
+//   * waiter, the one spin-wait loop of every queue.
 // The queues derive from it and add only what differs (DESIGN.md §6).
 //
 // Synchronization points (paper footnote 3: "Ordering is enforced ...
@@ -92,6 +93,77 @@ template <typename T, bool CacheAligned>
 using spmc_cell = cell<spmc_cell_fields<T>, CacheAligned>;
 template <typename T, bool CacheAligned>
 using mpmc_cell = cell<mpmc_cell_fields<T>, CacheAligned>;
+
+/// The one spin-wait loop of every queue: a round is one back-off pause
+/// behind the checker's spin mark. The stall, pause and DWCAS-retry counts
+/// stay in registers and reach the observer every kFlushEvery rounds and
+/// when the waiter goes out of scope: one RMW per wait, not per pause.
+/// Every member is force-inlined and a round pauses a copy of the
+/// back-off, so the waiter never lands in memory; when it did, publish()
+/// and resolve_rank() stopped inlining under the counting observer, and
+/// bench_telemetry_overhead's spmc pair ran ~5% slower.
+template <typename Observer>
+class waiter {
+  using observer = ffq::observe::queue_observer<Observer>;
+
+ public:
+  [[gnu::always_inline]] explicit waiter(observer& obs) noexcept
+      : obs_(obs) {}
+  [[gnu::always_inline]] ~waiter() {
+    obs_.on_full_stalls(stalls_);
+    obs_.on_backoff_pauses(pauses_);
+    obs_.on_dwcas_retries(retries_);
+  }
+
+  /// Wait for a producer mid-write, or for an empty queue to fill.
+  [[gnu::always_inline]] void pause() noexcept {
+    round<&observer::on_backoff_pauses>(pauses_);
+  }
+
+  /// Full-ring waits, one episode per cell a producer waits on:
+  /// first_stall(rank) on every round, then stall(). first_stall is true,
+  /// and leaves the episode's one trace instant, on its first round only;
+  /// end_stall() closes the episode.
+  [[gnu::always_inline]] bool first_stall(std::int64_t rank) noexcept {
+    const bool first = !stalled_;
+    if (first) obs_.on_full_stall(rank);
+    stalled_ = true;
+    return first;
+  }
+  [[gnu::always_inline]] void stall() noexcept {
+    round<&observer::on_full_stalls>(stalls_);
+  }
+  [[gnu::always_inline]] void end_stall() noexcept { stalled_ = false; }
+
+  /// One failed cmpxchg16b of `rank`'s cell: a trace instant now, a count
+  /// when the waiter goes.
+  [[gnu::always_inline]] void dwcas_retry(std::int64_t rank) noexcept {
+    ++retries_;
+    obs_.on_dwcas_retry(rank);
+  }
+
+ private:
+  // Under the off observer, which drops every count, a round is the
+  // back-off and the spin mark alone, as small as a hand-written wait.
+  template <void (observer::*Add)(std::uint64_t) noexcept>
+  [[gnu::always_inline]] void round(std::uint64_t& count) noexcept {
+    if constexpr (Observer::kEnabled) {
+      if (ffq::telemetry::flush_due(++count)) {
+        (obs_.*Add)(count);
+        count = 0;
+      }
+    }
+    FFQ_CHECK_SPIN();
+    ffq::runtime::yielding_backoff backoff = backoff_;
+    backoff.pause();
+    backoff_ = backoff;
+  }
+
+  observer& obs_;
+  ffq::runtime::yielding_backoff backoff_;
+  std::uint64_t stalls_ = 0, pauses_ = 0, retries_ = 0;
+  bool stalled_ = false;
+};
 
 /// The shared FFQ ring. `Head` is std::atomic<std::int64_t> for the
 /// multi-consumer queues (a fetch-and-add ticket dispenser) and a plain
@@ -215,9 +287,7 @@ class ring {
     std::uint64_t it0 = obs_.now();  // per-item begin timestamp
     std::int64_t t = tail_->load(std::memory_order_relaxed);
     std::size_t consecutive_skips = 0;
-    std::uint64_t stalls = 0;  // flushed once per call, not per pause
-    bool stalled = false;  // inside a full-ring wait episode
-    ffq::runtime::yielding_backoff full_backoff;
+    waiter full(obs_);  // its stall count is flushed once per call
     for (std::size_t i = 0; i < n;) {
       FFQ_CHECK_YIELD();  // scheduling point: one cell-protocol round
       auto& c = cell_at(t);
@@ -230,22 +300,14 @@ class ring {
           // instead (footnote 2: "the producer would spin until a slot
           // becomes available"). Wait-freedom is already forfeit in this
           // regime.
-          ++stalls;
-          if (!stalled) {  // once per episode, not per pause
+          if (full.first_stall(t) && i > 0) {
             // The cell may hold an item of this very call. Consumers that
             // bound their claim by `tail` (try_dequeue, try_dequeue_bulk)
             // cannot take it before `tail` passes it, so publish `tail`
             // first; every rank below `t` is already decided.
-            if (i > 0) tail_->store(t, std::memory_order_release);
-            obs_.on_full_stall(t);
-            stalled = true;
+            tail_->store(t, std::memory_order_release);
           }
-          if (ffq::telemetry::flush_due(stalls)) {
-            obs_.on_full_stalls(stalls);
-            stalls = 0;
-          }
-          FFQ_CHECK_SPIN();
-          full_backoff.pause();
+          full.stall();
           continue;
         }
         // Cell still holds an unconsumed (or mid-dequeue) older item:
@@ -269,28 +331,29 @@ class ring {
       // Linearization point.
       if (!early) c.rank().store(t, std::memory_order_release);
       obs_.on_enqueue(it0, t);
-      stalled = false;
+      full.end_stall();
       consecutive_skips = 0;
       ++t;
       ++first;
       if (++i < n) it0 = obs_.now();
     }
-    obs_.on_full_stalls(stalls);
     tail_->store(t, std::memory_order_release);
   }
 
-  enum class rank_state { taken, skipped, drained };
+  enum class rank_state { taken, skipped, pending };
 
-  /// Resolve one claimed rank against its cell: the scalar dequeue body
-  /// of Algorithm 1 (lines 18–30). `sink` receives the item by rvalue on
-  /// `taken`. Blocks (with back-off) while the producer is still writing
-  /// this rank — including an FFQ^m -2 reservation.
-  template <typename Sink>
-  rank_state resolve_rank(std::int64_t rank, Sink&& sink) noexcept {
-    const std::uint64_t t0 = obs_.now();
+  /// Algorithm 1 lines 18–30 for one rank, the consumer side of every
+  /// queue. `taken`: the item went to `sink` and the cell is free again
+  /// (its dequeue span began at `t0`). `skipped`: a gap covers `rank`.
+  /// `pending`: not published yet, or an FFQ^m -2 reservation. The
+  /// non-blocking form (SPSC's private-head scan) returns `pending` at
+  /// once; the blocking one (the claims) backs off and looks again, and
+  /// returns `pending` only for a rank at or past the closed tail.
+  template <bool Blocking, typename Sink>
+  rank_state resolve_rank(std::int64_t rank, std::uint64_t t0,
+                          Sink&& sink) noexcept {
     auto& c = cell_at(rank);
-    ffq::runtime::yielding_backoff backoff;
-    std::uint64_t pauses = 0;  // flushed once per episode, not per pause
+    waiter wait(obs_);
     for (;;) {
       FFQ_CHECK_YIELD();  // scheduling point: one resolve round
       if (c.rank().load(std::memory_order_acquire) == rank) {
@@ -300,7 +363,6 @@ class ring {
         std::destroy_at(c.ptr());
         // Linearization point: the cell is free again.
         c.rank().store(kCellFree, std::memory_order_release);
-        obs_.on_backoff_pauses(pauses);
         obs_.on_dequeue(t0, rank);
         return rank_state::taken;
       }
@@ -316,24 +378,18 @@ class ring {
         if (FFQ_CHECK_MUTANT(skip_line29_recheck) ||
             c.rank().load(std::memory_order_acquire) != rank) {
           obs_.on_skip(rank);
-          obs_.on_backoff_pauses(pauses);
           return rank_state::skipped;
         }
         continue;  // re-check found our rank after all: take it next round
       }
-      // Producer still writing (or queue empty): back off briefly.
-      const std::int64_t closed = closed_tail_.load(std::memory_order_acquire);
-      if (closed >= 0 && rank >= closed) {
-        obs_.on_backoff_pauses(pauses);
-        return rank_state::drained;
+      // Producer still writing (or queue empty).
+      if constexpr (Blocking) {
+        const std::int64_t closed = closed_tail_.load(std::memory_order_acquire);
+        if (closed >= 0 && rank >= closed) return rank_state::pending;
+        wait.pause();
+      } else {
+        return rank_state::pending;
       }
-      ++pauses;
-      if (ffq::telemetry::flush_due(pauses)) {
-        obs_.on_backoff_pauses(pauses);
-        pauses = 0;
-      }
-      FFQ_CHECK_SPIN();
-      backoff.pause();
     }
   }
 
@@ -388,7 +444,7 @@ class ring {
       if (k > 1) obs_.on_rank_block_faa();
       std::size_t taken = 0;
       for (std::int64_t rank = first; rank < first + k; ++rank) {
-        switch (resolve_rank(rank, [&](T&& v) {
+        switch (resolve_rank<true>(rank, obs_.now(), [&](T&& v) {
           *out = std::move(v);
           ++out;
         })) {
@@ -397,9 +453,9 @@ class ring {
             break;
           case rank_state::skipped:
             break;  // dropped in place: no fresh fetch-and-add
-          case rank_state::drained:
-            // Ranks grow within the run, so the rest are past the final
-            // tail too.
+          case rank_state::pending:
+            // Past the final tail. Ranks grow within the run, so the rest
+            // are past it too.
             return taken;
         }
       }

@@ -6,9 +6,10 @@
 // Cells keep the (rank, gap) protocol because the producer can still wrap
 // around onto a cell whose item the consumer has not consumed yet (the
 // buffer-full edge), in which case it skips and announces a gap exactly
-// like the SPMC variant. The producer side is the shared
-// detail::ring::publish (ring.hpp); only the private-head consumer scan
-// lives here.
+// like the SPMC variant. Both halves are the shared ring (ring.hpp): the
+// producer runs detail::ring::publish, and the consumer runs the ring's
+// one rank-resolve, detail::ring::resolve_rank, non-blocking, over its
+// private head. Only that scan lives here.
 //
 // Used by the application framework (paper §V-A) for the per-consumer
 // response queues, and by Fig. 3 (queue-size sweep) and Fig. 8 (SPSC
@@ -17,13 +18,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <utility>
 
-#include "ffq/check/yield.hpp"
 #include "ffq/core/layout.hpp"
 #include "ffq/core/ring.hpp"
-#include "ffq/runtime/backoff.hpp"
 
 namespace ffq::core {
 
@@ -89,47 +87,28 @@ class spsc_queue
   // observer so one telemetry() call covers the whole stack.
   friend class waitable_spsc_queue<T, Layout, Observer>;
 
-  using base::cell_at;
+  using typename base::rank_state;
   using base::closed_tail_;
   using base::head_;
   using base::obs_;
 
   /// Scan forward from the private head, taking up to `max_n` published
-  /// items and stepping over gap ranks (Alg. 1 lines 18–30 without the
-  /// fetch-and-add). Stops at the first rank not published yet.
+  /// items and stepping over gap ranks: one non-blocking resolve_rank per
+  /// rank, with no fetch-and-add and no read of `tail`. Stops at the
+  /// first rank not published yet.
   template <typename OutIt>
   std::size_t take(OutIt out, std::size_t max_n) noexcept {
     std::uint64_t it0 = obs_.now();  // per-item begin timestamp
     std::int64_t h = (*head_);
     std::size_t taken = 0;
     while (taken < max_n) {
-      FFQ_CHECK_YIELD();  // scheduling point: one cell-protocol round
-      auto& c = cell_at(h);
-      if (c.rank().load(std::memory_order_acquire) == h) {
-        *out = std::move(*c.ptr());
+      const auto s = this->template resolve_rank<false>(h, it0, [&](T&& v) {
+        *out = std::move(v);
         ++out;
-        std::destroy_at(c.ptr());
-        c.rank().store(detail::kCellFree, std::memory_order_release);
-        obs_.on_dequeue(it0, h);
-        ++h;
-        if (++taken < max_n) it0 = obs_.now();
-        continue;
-      }
-      // The rank load above and the gap load are distinct atomic
-      // accesses; the paper's line-29 argument is exactly about what may
-      // happen between them (the producer publishes h, then skips this
-      // cell on a later lap), so the checker gets a scheduling point
-      // there and the rank is re-checked after the gap load.
-      FFQ_CHECK_YIELD();  // line-29 window
-      if (c.gap().load(std::memory_order_acquire) >= h) {
-        if (FFQ_CHECK_MUTANT(skip_line29_recheck) ||
-            c.rank().load(std::memory_order_acquire) != h) {
-          obs_.on_skip(h);
-          ++h;  // our rank was skipped; advance past the gap
-        }
-        continue;  // re-check found our rank after all: take it next round
-      }
-      break;  // next rank not published yet
+      });
+      if (s == rank_state::pending) break;
+      ++h;  // taken, or skipped: our rank was a gap
+      if (s == rank_state::taken && ++taken < max_n) it0 = obs_.now();
     }
     (*head_) = h;  // remember progress past consumed gaps
     return taken;
@@ -139,26 +118,13 @@ class spsc_queue
   /// closed and drained. Shared by dequeue and dequeue_bulk.
   template <typename OutIt>
   std::size_t wait_take(OutIt out, std::size_t max_n) noexcept {
-    ffq::runtime::yielding_backoff backoff;
-    std::uint64_t pauses = 0;  // flushed once per call, not per pause
+    detail::waiter wait(obs_);
     for (;;) {
       const std::size_t n = take(out, max_n);
-      if (n > 0) {
-        obs_.on_backoff_pauses(pauses);
-        return n;
-      }
+      if (n > 0) return n;
       const std::int64_t closed = closed_tail_.load(std::memory_order_acquire);
-      if (closed >= 0 && (*head_) >= closed) {
-        obs_.on_backoff_pauses(pauses);
-        return 0;
-      }
-      ++pauses;
-      if (ffq::telemetry::flush_due(pauses)) {
-        obs_.on_backoff_pauses(pauses);
-        pauses = 0;
-      }
-      FFQ_CHECK_SPIN();
-      backoff.pause();
+      if (closed >= 0 && (*head_) >= closed) return 0;
+      wait.pause();
     }
   }
 };

@@ -52,7 +52,6 @@
 #include "ffq/core/layout.hpp"
 #include "ffq/core/spmc.hpp"
 #include "ffq/observe/observer.hpp"
-#include "ffq/runtime/backoff.hpp"
 #include "ffq/runtime/cacheline.hpp"
 
 namespace ffq::shard {
@@ -135,35 +134,25 @@ class fabric {
       return drain(out, max_n);
     }
 
-    /// Blocking dequeue: spins (with back-off) while the fabric is empty
-    /// but open; returns false only once closed and nothing is claimable
-    /// by this consumer.
-    bool dequeue(T& out) noexcept {
-      ffq::runtime::yielding_backoff backoff;
-      for (;;) {
-        if (try_dequeue(out)) return true;
-        if (fab_->closed()) {
-          // Items may have been published between the failed try and the
-          // close observation: one more sweep decides.
-          return try_dequeue(out);
-        }
-        FFQ_CHECK_SPIN();
-        backoff.pause();
-      }
-    }
+    /// Blocking dequeue: a blocking bulk dequeue of one item.
+    bool dequeue(T& out) noexcept { return dequeue_bulk(&out, 1) == 1; }
 
     /// Blocking bulk dequeue: ≥ 1 items, or 0 only once closed and
-    /// drained (mirrors the scalar queues' dequeue_bulk contract).
+    /// drained (mirrors the scalar queues' dequeue_bulk contract). Waits
+    /// with the queues' one wait loop; the fabric counts no pauses, so
+    /// it reports to an off observer.
     template <typename OutIt>
     std::size_t dequeue_bulk(OutIt out, std::size_t max_n) noexcept {
       if (max_n == 0) return 0;
-      ffq::runtime::yielding_backoff backoff;
+      ffq::observe::queue_observer<ffq::observe::off> uncounted{kName};
+      ffq::core::detail::waiter wait(uncounted);
       for (;;) {
         const std::size_t n = try_dequeue_bulk(out, max_n);
         if (n > 0) return n;
+        // Items may have been published between the failed try and the
+        // close observation: one more sweep decides.
         if (fab_->closed()) return try_dequeue_bulk(out, max_n);
-        FFQ_CHECK_SPIN();
-        backoff.pause();
+        wait.pause();
       }
     }
 

@@ -392,6 +392,14 @@ TEST(ModelAlg1, SkippingLine29RecheckIsCaught) {
   expect_caught<q_spmc>(
       blocking(2, 1, 4, 2, 2, mutation::skip_line29_recheck), 2,
       "conservation");
+  // The same rank-resolve is SPSC's consumer, polling (take) and blocking
+  // (wait_take). Its private head steps past the lost item, which then
+  // holds its cell for good: the producer waits on the full ring forever.
+  expect_caught<q_spsc>(polling(2, 1, 4, 1, mutation::skip_line29_recheck),
+                        2, "liveness");
+  expect_caught<q_spsc>(
+      blocking(2, 1, 4, 1, 4, mutation::skip_line29_recheck), 2,
+      "liveness");
 }
 
 // Batched operations (DESIGN.md §5.8): enqueue_bulk defers the tail store
@@ -479,6 +487,7 @@ TEST(ModelAlg2, ThrottleDeadlockRegressionIsCaught) {
 
 TEST(CheckExplore, CleanSpscModelPassesExhaustiveBound2) {
   expect_clean<q_spsc>(polling(4, 1, 6, 1));           // take
+  expect_clean<q_spsc>(polling(2, 1, 4, 1));           // take, wrapping
   expect_clean<q_spsc>(blocking(2, 1, 4, 1, 4));       // wait_take
   expect_clean<q_wait>(polling(4, 1, 6, 1));
 }

@@ -172,6 +172,9 @@ TEST(Driver, ThinkOverheadIsNearTheRequestedMean) {
 
 // --- pairwise driver over a few representative adapters --------------------
 
+using ffq_mpmc = ffq_adapter<ffq::core::mpmc_queue<std::uint64_t>>;
+using ffq_spsc = ffq_adapter<ffq::core::spsc_queue<std::uint64_t>>;
+
 template <typename Adapter>
 void smoke_pairwise(int threads) {
   pairwise_config cfg;
@@ -183,9 +186,9 @@ void smoke_pairwise(int threads) {
   EXPECT_GT(ops, 1000.0) << "implausibly slow — likely a stall";
 }
 
-TEST(Pairwise, FfqMpmcSingleThread) { smoke_pairwise<ffq_mpmc_adapter<>>(1); }
-TEST(Pairwise, FfqMpmcFourThreads) { smoke_pairwise<ffq_mpmc_adapter<>>(4); }
-TEST(Pairwise, FfqSpscSingleThread) { smoke_pairwise<ffq_spsc_adapter<>>(1); }
+TEST(Pairwise, FfqMpmcSingleThread) { smoke_pairwise<ffq_mpmc>(1); }
+TEST(Pairwise, FfqMpmcFourThreads) { smoke_pairwise<ffq_mpmc>(4); }
+TEST(Pairwise, FfqSpscSingleThread) { smoke_pairwise<ffq_spsc>(1); }
 TEST(Pairwise, MsQueueTwoThreads) { smoke_pairwise<ms_adapter>(2); }
 TEST(Pairwise, CcQueueTwoThreads) { smoke_pairwise<cc_adapter>(2); }
 TEST(Pairwise, LcrqTwoThreads) { smoke_pairwise<lcrq_adapter>(2); }
@@ -199,7 +202,7 @@ TEST(Pairwise, WithThinkTimeStillTerminates) {
   cfg.total_pairs = 5000;
   cfg.think_min_ns = 50;
   cfg.think_max_ns = 150;
-  const double ops = run_pairwise_once<ffq_mpmc_adapter<>>(cfg);
+  const double ops = run_pairwise_once<ffq_mpmc>(cfg);
   EXPECT_GT(ops, 100.0);
 }
 
@@ -208,7 +211,7 @@ TEST(Pairwise, MultiRunSummary) {
   cfg.threads = 2;
   cfg.total_pairs = 10000;
   cfg.think_min_ns = 0;
-  auto stats = run_pairwise<ffq_mpmc_adapter<>>(cfg, 3);
+  auto stats = run_pairwise<ffq_mpmc>(cfg, 3);
   EXPECT_EQ(stats.runs, 3u);
   EXPECT_GT(stats.mean, 0.0);
   EXPECT_GE(stats.max, stats.min);

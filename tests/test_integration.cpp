@@ -113,9 +113,12 @@ void adapter_roundtrip() {
   EXPECT_GT(ops, 0.0);
 }
 
-TEST(Integration, AdapterFfqMpmc) { adapter_roundtrip<ffq::harness::ffq_mpmc_adapter<>>(); }
+TEST(Integration, AdapterFfqMpmc) {
+  adapter_roundtrip<ffq::harness::ffq_adapter<ffq::core::mpmc_queue<std::uint64_t>>>();
+}
 TEST(Integration, AdapterFfqMpmcCompact) {
-  adapter_roundtrip<ffq::harness::ffq_mpmc_adapter<ffq::core::layout_compact>>();
+  adapter_roundtrip<ffq::harness::ffq_adapter<
+      ffq::core::mpmc_queue<std::uint64_t, ffq::core::layout_compact>>>();
 }
 TEST(Integration, AdapterMs) { adapter_roundtrip<ffq::harness::ms_adapter>(); }
 TEST(Integration, AdapterCc) { adapter_roundtrip<ffq::harness::cc_adapter>(); }

@@ -9,7 +9,6 @@
 
 #include "ffq/core/ffq.hpp"
 #include "ffq/core/waitable.hpp"
-#include "ffq/harness/adapters.hpp"
 #include "ffq/runtime/cacheline.hpp"
 #include "ffq/shard/shard.hpp"
 
@@ -24,11 +23,6 @@ static_assert(defaults_to<spmc_queue<long>, layout_compact>);
 static_assert(defaults_to<waitable_spsc_queue<long>, layout_compact>);
 static_assert(defaults_to<ffq::shard::fabric<long>, layout_compact>);
 static_assert(defaults_to<mpmc_queue<long>, layout_aligned>);
-// The Fig. 8 / pairwise adapters measure those same defaults.
-namespace fh = ffq::harness;
-static_assert(defaults_to<fh::ffq_spsc_adapter<>::queue_type, layout_compact>);
-static_assert(defaults_to<fh::ffq_spmc_adapter<>::queue_type, layout_compact>);
-static_assert(defaults_to<fh::ffq_mpmc_adapter<>::queue_type, layout_aligned>);
 
 // A 16-byte item's packed cell is 32 bytes: two cells per line, so a bulk
 // run of 16 moves 8 lines.
